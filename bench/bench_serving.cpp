@@ -1,32 +1,23 @@
 /**
  * @file
- * Batched-serving bench: an identical-program workload (many clients
- * of one model — the serving case the coalescer exists for) is pushed
- * through the ServingEngine twice per worker count: once with
- * batching disabled (maxBatch = 1, the per-job pipeline) and once
- * with maxBatch = 8, under the deadline/priority scheduler with two
- * tenant classes (gold: priority 2, tight deadline; bulk: priority 0,
- * loose deadline). Emits one JSON document (BENCH_serving.json in CI)
- * with jobs/sec for both modes, the speedup, the realized batch-size
- * distribution, and per-tenant-class p50/p95 turnaround latency.
+ * Serving bench: an identical-program workload (many clients of one
+ * model) is pushed through the ServingEngine at each worker count,
+ * under the deadline/priority scheduler with two tenant classes
+ * (gold: priority 2, tight deadline; bulk: priority 0, loose
+ * deadline). Emits one JSON document (BENCH_serving.json in CI) with
+ * jobs/sec and per-tenant-class p50/p95 turnaround latency.
  *
  * The workload is deliberately cheap-op-heavy (a long add chain with
- * a few rotations at a small degree): batching amortizes per-job
- * fixed overhead — queue pop round-trips, executor construction, per
- * -op scheduling bookkeeping, hint-cache and metrics-registry lock
- * traffic — so its margin is largest where kernels are small. On one
- * core with compute-dominated jobs that margin is a few percent; the
- * amortized costs are the CONTENDED ones when several workers serve
- * per-job traffic, which is why the gate fires at >= 4 workers.
- * Jobs/sec is the best across reps (both modes equally), which
- * measures intrinsic cost rather than background-load noise.
+ * a few rotations at a small degree), so per-job fixed overhead —
+ * queue pops, executor construction, per-op scheduling bookkeeping,
+ * hint-cache and metrics-registry lock traffic — is a visible share
+ * of each job. Jobs/sec is the best across reps, which measures
+ * intrinsic cost rather than background-load noise.
  *
- * Every job in every mode is checked bit-for-bit against a solo
- * serial run of the same (program, inputs, seed): a throughput win
- * from diverging ciphertexts is a correctness failure, not a perf
- * data point (exit 1). In full mode on >= 4 hardware threads the
- * acceptance gate is enforced: batched jobs/sec must be strictly
- * above per-job jobs/sec at every worker count >= 4 (exit 2).
+ * Every job is checked bit-for-bit against a solo serial run of the
+ * same (program, inputs, seed): a throughput number from diverging
+ * ciphertexts is a correctness failure, not a perf data point
+ * (exit 1).
  *
  * Introspection riders (both modes):
  *  - the embedded exporter is started on an ephemeral port and
@@ -54,9 +45,9 @@
  * per-op profiling + tracing on AND a scraper hammering /metrics must
  * stay within 1.5x of the telemetry-off turnaround (exit 4).
  *
- * Usage: bench_serving_batched [--smoke]
+ * Usage: bench_serving [--smoke]
  *   --smoke  CI canary: fewer jobs, workers {1, 2}, bit-identity and
- *            correlation checks only (no perf/overhead gates).
+ *            correlation checks only (no overhead gate).
  */
 #include <algorithm>
 #include <atomic>
@@ -93,7 +84,7 @@ namespace {
  * One small "model": a plaintext multiply by shared weights, a few
  * rotations, and a long accumulation chain of cheap adds. Per-op
  * kernel cost is tiny, so per-job fixed overhead is a visible
- * fraction — the regime where coalescing pays.
+ * fraction.
  */
 Program
 modelProgram(uint32_t n, int addSteps)
@@ -165,19 +156,12 @@ struct ClassLatency
     std::vector<double> turnaroundMs;
 };
 
-struct ModeResult
-{
-    double jobsPerSec = 0; //!< best across reps
-    std::map<std::string, ClassLatency> classes;
-    std::map<size_t, size_t> batchSizes; //!< size -> jobs served at it
-    bool bitIdentical = true;
-};
-
 struct SweepRow
 {
-    unsigned workers;
-    ModeResult perJob;  //!< maxBatch = 1
-    ModeResult batched; //!< maxBatch = 8
+    unsigned workers = 0;
+    double jobsPerSec = 0; //!< best across reps
+    std::map<std::string, ClassLatency> classes;
+    bool bitIdentical = true;
 };
 
 int
@@ -187,12 +171,9 @@ run(bool smoke)
     const int addSteps = 96;
     const size_t kJobs = smoke ? 16 : 64;
     const int reps = smoke ? 2 : 5;
-    const size_t kMaxBatch = 8;
     // Worker counts beyond the physical cores only measure scheduler
-    // noise (several batch working sets interleaving through one
-    // core's cache), so the sweep is clamped to hw; the >= 4 workers
-    // acceptance gate therefore fires exactly on machines that can
-    // actually run 4 workers in parallel.
+    // noise (several job working sets interleaving through one core's
+    // cache), so the sweep is clamped to hw.
     const unsigned hw =
         std::max(1u, std::thread::hardware_concurrency());
     std::vector<unsigned> workerCounts;
@@ -245,15 +226,13 @@ run(bool smoke)
                                          serialPolicy));
     }
 
-    auto runMode = [&](unsigned workers, size_t maxBatch,
-                       bool telemetryOn = false) {
-        ModeResult out;
+    auto runMode = [&](unsigned workers, bool telemetryOn = false) {
+        SweepRow out;
+        out.workers = workers;
         std::vector<double> jps(static_cast<size_t>(reps));
         for (int rep = 0; rep < reps; ++rep) {
             ServingConfig cfg;
             cfg.workers = workers;
-            cfg.scheduling = SchedulingPolicy::kDeadline;
-            cfg.maxBatch = maxBatch;
             cfg.tenantPolicies["gold"] = {2, 20.0, 0};
             cfg.tenantPolicies["bulk"] = {0, 500.0, 0};
             cfg.policy.telemetry.profile = telemetryOn;
@@ -271,7 +250,6 @@ run(bool smoke)
                                    outputsHash(r.exec) == golden[i];
                 out.classes[tenantOf(i)].turnaroundMs.push_back(
                     r.queueMs + r.serviceMs);
-                ++out.batchSizes[r.exec.batchSize];
             }
             jps[size_t(rep)] = 1000.0 * double(kJobs) /
                                (steadyNowMs() - t0);
@@ -288,13 +266,8 @@ run(bool smoke)
     std::vector<SweepRow> rows;
     bool allIdentical = true;
     for (unsigned workers : workerCounts) {
-        SweepRow row;
-        row.workers = workers;
-        row.perJob = runMode(workers, 1);
-        row.batched = runMode(workers, kMaxBatch);
-        allIdentical = allIdentical && row.perJob.bitIdentical &&
-                       row.batched.bitIdentical;
-        rows.push_back(std::move(row));
+        rows.push_back(runMode(workers));
+        allIdentical = allIdentical && rows.back().bitIdentical;
     }
 
     // --- SLO overload scenario: the "hot" tenant's deadline is
@@ -313,7 +286,6 @@ run(bool smoke)
     {
         ServingConfig cfg;
         cfg.workers = 1;
-        cfg.maxBatch = kMaxBatch;
         cfg.admission.maxBurnRate = 3.0;
         cfg.slo.windowSize = 16;
         cfg.tenantPolicies["hot"] = {0, 1e-6, 0};
@@ -353,7 +325,7 @@ run(bool smoke)
     double telemetryOnJps = 0;
     if (!smoke) {
         const unsigned w = std::min(2u, hw);
-        telemetryOffJps = runMode(w, kMaxBatch).jobsPerSec;
+        telemetryOffJps = runMode(w).jobsPerSec;
         std::atomic<bool> stopScraper{false};
         std::thread scraper([&] {
             // 100 Hz — three orders of magnitude hotter than a real
@@ -366,7 +338,7 @@ run(bool smoke)
                     std::chrono::milliseconds(10));
             }
         });
-        telemetryOnJps = runMode(w, kMaxBatch, true).jobsPerSec;
+        telemetryOnJps = runMode(w, true).jobsPerSec;
         stopScraper.store(true, std::memory_order_relaxed);
         scraper.join();
     }
@@ -387,8 +359,6 @@ run(bool smoke)
 
         ServingConfig cfg;
         cfg.workers = std::min(2u, hw);
-        cfg.scheduling = SchedulingPolicy::kDeadline;
-        cfg.maxBatch = 4;
         cfg.policy.telemetry.profile = true;
         cfg.policy.telemetry.trace = true;
         ServingEngine engine(&bgv, cfg);
@@ -437,20 +407,13 @@ run(bool smoke)
                 corrFailure = "trace id missing from executor spans";
                 break;
             }
-            bool inProfile = false;
-            if (r.exec.profile != nullptr)
-                for (uint64_t id : r.exec.profile->traceIds)
-                    inProfile |= id == r.traceId;
-            if (!inProfile) {
+            if (r.exec.profile == nullptr ||
+                r.exec.profile->traceId != r.traceId) {
                 corrFailure =
                     "trace id missing from the execution profile";
                 break;
             }
-            bool seen = false;
-            for (const auto &t : traces)
-                seen |= t == r.exec.trace;
-            if (!seen)
-                traces.push_back(r.exec.trace);
+            traces.push_back(r.exec.trace);
         }
         if (corrFailure.empty() && ids.size() != results.size())
             corrFailure = "trace ids are not pairwise distinct";
@@ -529,46 +492,26 @@ run(bool smoke)
     // The post-mortem artifact CI uploads next to BENCH_serving.json.
     obs::FlightRecorder::global().dumpToFile("EVENTS_serving.json");
 
-    const auto printMode = [](const char *key, const ModeResult &m,
-                              const char *trail) {
-        printf("     \"%s\": {\"jobs_per_sec\": %.2f, "
-               "\"bit_identical\": %s,\n",
-               key, m.jobsPerSec, m.bitIdentical ? "true" : "false");
-        printf("       \"batch_sizes\": {");
+    printf("{\n  \"bench\": \"serving\",\n");
+    printf("  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
+    printf("  \"hw_concurrency\": %u,\n", hw);
+    printf("  \"n\": %u, \"levels\": 3, \"jobs\": %zu, \"reps\": %d,\n",
+           n, kJobs, reps);
+    printf("  \"results\": [\n");
+    for (size_t i = 0; i < rows.size(); ++i) {
+        const SweepRow &r = rows[i];
+        printf("    {\"workers\": %u, \"jobs_per_sec\": %.2f, "
+               "\"bit_identical\": %s,\n     \"classes\": {",
+               r.workers, r.jobsPerSec, r.bitIdentical ? "true" : "false");
         bool first = true;
-        for (const auto &[size, count] : m.batchSizes) {
-            printf("%s\"%zu\": %zu", first ? "" : ", ", size, count);
-            first = false;
-        }
-        printf("},\n       \"classes\": {");
-        first = true;
-        for (const auto &[name, lat] : m.classes) {
+        for (const auto &[name, lat] : r.classes) {
             printf("%s\"%s\": {\"p50_ms\": %.3f, \"p95_ms\": %.3f}",
                    first ? "" : ", ", name.c_str(),
                    percentile(lat.turnaroundMs, 0.50),
                    percentile(lat.turnaroundMs, 0.95));
             first = false;
         }
-        printf("}}%s\n", trail);
-    };
-
-    printf("{\n  \"bench\": \"serving_batched\",\n");
-    printf("  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
-    printf("  \"hw_concurrency\": %u,\n", hw);
-    printf("  \"n\": %u, \"levels\": 3, \"jobs\": %zu, "
-           "\"max_batch\": %zu, \"reps\": %d,\n",
-           n, kJobs, kMaxBatch, reps);
-    printf("  \"results\": [\n");
-    for (size_t i = 0; i < rows.size(); ++i) {
-        const SweepRow &r = rows[i];
-        printf("    {\"workers\": %u,\n", r.workers);
-        printMode("per_job", r.perJob, ",");
-        printMode("batched", r.batched, ",");
-        printf("     \"batched_speedup\": %.3f}%s\n",
-               r.perJob.jobsPerSec > 0
-                   ? r.batched.jobsPerSec / r.perJob.jobsPerSec
-                   : 0.0,
-               i + 1 < rows.size() ? "," : "");
+        printf("}}%s\n", i + 1 < rows.size() ? "," : "");
     }
     printf("  ],\n");
     printf("  \"slo\": {\"max_burn_rate\": 3.0, \"window\": 16, "
@@ -614,25 +557,9 @@ run(bool smoke)
            obs::MetricsRegistry::global().snapshot().toJson().c_str());
 
     if (!allIdentical) {
-        fprintf(stderr, "FAIL: batched/per-job outputs diverged from "
-                        "the solo serial baseline\n");
+        fprintf(stderr, "FAIL: served outputs diverged from the solo "
+                        "serial baseline\n");
         return 1;
-    }
-    if (!smoke && hw >= 4) {
-        // Acceptance gate: coalescing identical-program jobs must be
-        // a strict throughput win over the per-job pipeline at every
-        // worker count >= 4.
-        for (const SweepRow &r : rows) {
-            if (r.workers >= 4 &&
-                r.batched.jobsPerSec <= r.perJob.jobsPerSec) {
-                fprintf(stderr,
-                        "FAIL: %u workers: batched %.2f jobs/s is "
-                        "not above per-job %.2f jobs/s\n",
-                        r.workers, r.batched.jobsPerSec,
-                        r.perJob.jobsPerSec);
-                return 2;
-            }
-        }
     }
     if (!scrapeFailure.empty()) {
         fprintf(stderr, "FAIL: exporter scrape: %s\n",

@@ -2,13 +2,13 @@
  * @file
  * The paper's running example (Listing 2): a 4 x 16K matrix-vector
  * multiply using homomorphic rotations for the inner sums, written in
- * the DSL, verified against plaintext math via the reference executor,
+ * the DSL, verified against plaintext math via the op-graph executor,
  * and compiled for F1.
  */
 #include <cstdio>
 
 #include "compiler/compiler.h"
-#include "sim/reference_executor.h"
+#include "runtime/op_graph_executor.h"
 
 using namespace f1;
 
@@ -37,23 +37,23 @@ main()
     params.maxLevel = level;
     FheContext ctx(params);
     BgvScheme bgv(&ctx);
-    ReferenceExecutor exec(p, &bgv);
+    RuntimeInputs in;
 
     const uint64_t t = bgv.plainModulus();
     std::vector<uint64_t> vec(n);
     for (uint32_t i = 0; i < n; ++i)
         vec[i] = (i * 37 + 11) % 1000;
-    exec.setInputSlots(0, vec);
+    in.bind(0, vec);
     std::vector<std::vector<uint64_t>> matrix;
     for (uint32_t r = 0; r < rows; ++r) {
         std::vector<uint64_t> row(n);
         for (uint32_t i = 0; i < n; ++i)
             row[i] = (r + 1) * (i % 17 + 1) % t;
-        exec.setPlainSlots(weight_handles[r], row);
+        in.bind(weight_handles[r], row);
         matrix.push_back(std::move(row));
     }
 
-    auto res = exec.run();
+    auto res = OpGraphExecutor(p, &bgv).execute(in);
     printf("software execution: %.1f ms\n", res.wallMs);
 
     bool ok = true;

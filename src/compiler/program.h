@@ -158,7 +158,8 @@ class Program
      * degree, entry level, aux primes, and every op's (kind, operands,
      * rotation, level, variant). Two Program objects with equal
      * fingerprints execute identically on identical inputs, whatever
-     * their names or addresses — the serving coalescer's batching key.
+     * their names or addresses — the program key of the flight
+     * recorder's serving events.
      * The name is deliberately excluded; hintId is derived from the
      * ops and needs no separate folding.
      */

@@ -23,11 +23,6 @@
  * static schedule predicts reality. A growing MAE under load is the
  * "schedule no longer matches the machine" signal the ROADMAP's
  * perf items gate against.
- *
- * Only the FIRST member of a fused batch records: members 2..B execute
- * back-to-back inside one runOp sweep, so their measured starts are a
- * property of batch fusion, not of the schedule, and would skew the
- * fit.
  */
 #ifndef F1_OBS_CALIB_H
 #define F1_OBS_CALIB_H
@@ -66,7 +61,7 @@ class ScheduleCalibration
     /**
      * Records one (predicted cycle, measured start ns) pair. `name`
      * must be a static string (op kind name); it doubles as the metric
-     * label on first use. `measuredNs` is relative to the batch's
+     * label on first use. `measuredNs` is relative to the run's
      * execute epoch so pairs from different runs share an origin of
      * "start of traversal". Takes the kind's mutex — callers are on
      * the traced path already (a span was just recorded), so this

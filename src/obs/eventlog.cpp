@@ -45,7 +45,6 @@ servingEventKindName(ServingEventKind kind)
       case ServingEventKind::kSubmit: return "submit";
       case ServingEventKind::kAdmit: return "admit";
       case ServingEventKind::kShed: return "shed";
-      case ServingEventKind::kCoalesce: return "coalesce";
       case ServingEventKind::kDispatch: return "dispatch";
       case ServingEventKind::kComplete: return "complete";
       case ServingEventKind::kFail: return "fail";

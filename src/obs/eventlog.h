@@ -6,7 +6,7 @@
  * When a job fails or the engine sheds under load, the metrics
  * registry says THAT it happened but not WHAT the pipeline was doing
  * around it. The flight recorder is the causal record: every job's
- * submit/admit/shed/coalesce/dispatch/complete/fail transition is
+ * submit/admit/shed/dispatch/complete/fail transition is
  * stamped with a global sequence number, so a dump reads as the
  * pipeline's recent history in exact order — the post-mortem
  * instrument Prometheus counters cannot be.
@@ -46,11 +46,10 @@ enum class ServingEventKind : uint8_t {
     kSubmit = 0, //!< request arrived at submit() (pre-admission)
     kAdmit,      //!< admission passed; job enqueued with its id
     kShed,       //!< admission rejected the request
-    kCoalesce,   //!< queued job pulled into another job's batch
-    kDispatch,   //!< executor started a (batch) traversal
+    kDispatch,   //!< executor started a job's traversal
     kComplete,   //!< job future fulfilled with a result
-    kFail,       //!< execution error (per batch from the executor,
-                 //!< then per member job from the engine)
+    kFail,       //!< execution error (from the executor, then from
+                 //!< the engine for the job)
 };
 
 const char *servingEventKindName(ServingEventKind kind);
@@ -60,7 +59,7 @@ struct ServingEvent
 {
     uint64_t seq = 0;  //!< global causal order (1-based, gap-free)
     double tsMs = 0;   //!< steady-clock stamp (steadyNowMs)
-    uint64_t jobId = 0;      //!< 0 = not yet assigned / batch-level
+    uint64_t jobId = 0;      //!< 0 = not yet assigned / executor
     uint64_t fingerprint = 0; //!< Program::fingerprint()
     uint64_t traceId = 0;     //!< per-job correlation id; 0 = none
     uint32_t batchSize = 0;   //!< members, where meaningful

@@ -52,18 +52,11 @@ ExecutionProfile::toJson() const
         os << "\"" << name << "\": {\"count\": " << s.count
            << ", \"total_ms\": " << s.totalMs << "}";
     }
-    os << "}, \"trace_ids\": [";
-    first = true;
-    for (uint64_t id : traceIds) {
-        if (!first)
-            os << ", ";
-        first = false;
-        char buf[24];
-        std::snprintf(buf, sizeof buf, "0x%016llx",
-                      static_cast<unsigned long long>(id));
-        os << "\"" << buf << "\"";
-    }
-    os << "], \"ntt_forward\": " << nttForward
+    char id[24];
+    std::snprintf(id, sizeof id, "0x%016llx",
+                  static_cast<unsigned long long>(traceId));
+    os << "}, \"trace_id\": \"" << id
+       << "\", \"ntt_forward\": " << nttForward
        << ", \"ntt_inverse\": " << nttInverse
        << ", \"key_switch_applies\": " << keySwitchApplies
        << ", \"basis_extends\": " << basisExtends

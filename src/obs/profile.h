@@ -33,7 +33,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 namespace f1::obs {
 
@@ -203,11 +202,9 @@ struct ExecutionProfile
 
     std::string label; //!< TelemetryOptions::label (serving: tenant)
 
-    /** Correlation ids of the batch members this profile covers, in
-     *  member order (obs/tracectx.h; one entry per fused job, 0 for
-     *  untraced members). A profile covers the WHOLE fused batch, so
-     *  every member's trace id maps to it. */
-    std::vector<uint64_t> traceIds;
+    /** Correlation id of the job this profile covers
+     *  (obs/tracectx.h; 0 = untraced). */
+    uint64_t traceId = 0;
 
     std::string toJson() const;
 };

@@ -9,13 +9,13 @@
  * which worker, and the ExecutionProfile knows the job's hot-path
  * totals — but before this layer they shared no key, so a p99 outlier
  * in serving.service_ms could not be followed from submit through
- * admission, coalescing, and the ops that ran it. ServingEngine::
- * submit allocates one 64-bit trace id per job (allocateTraceId) and
- * threads it through every artifact; writeCorrelatedTrace then merges
- * the serving lifecycle lane and the executor span lanes into ONE
+ * admission to the ops that ran it. ServingEngine::submit allocates
+ * one 64-bit trace id per job (allocateTraceId) and threads it
+ * through every artifact; writeCorrelatedTrace then merges the
+ * serving lifecycle lane and the executor span lanes into ONE
  * Chrome trace-event document with flow events ("ph":"s"/"t"/"f",
- * id = the trace id) linking each job's submit→admit→coalesce→
- * dispatch→complete chain to the first executor span that ran it.
+ * id = the trace id) linking each job's submit→admit→dispatch→
+ * complete chain to the first executor span that ran it.
  *
  * LiveTraceCapture is the /tracez?ms=N instrument: a process-wide
  * seqlock ring (same discipline as the flight recorder's slots —

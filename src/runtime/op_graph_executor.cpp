@@ -6,6 +6,7 @@
 #include <chrono>
 #include <exception>
 #include <mutex>
+#include <optional>
 #include <queue>
 #include <sstream>
 #include <thread>
@@ -170,46 +171,28 @@ struct OpPriority
 } // namespace
 
 /**
- * One batch member's private data: its ciphertexts, plaintexts,
- * outputs, and per-member counters. Every member of a batch walks the
- * same graph, so the structural state (dependency counts, liveness)
- * lives once in RunState; everything a single job owns lives here.
+ * Per-run state of one job's traversal: its ciphertexts, plaintexts,
+ * outputs, liveness counts, and counters.
  */
-struct OpGraphExecutor::Member
+struct OpGraphExecutor::RunState
 {
     std::vector<std::optional<Ciphertext>> cts;
     std::vector<std::shared_ptr<const std::vector<int64_t>>> bgvPts;
     std::vector<std::vector<std::complex<double>>> ckksSlots;
     std::vector<std::optional<Ciphertext>> outs;
-    uint64_t encodingCacheHits = 0;
-    uint64_t encodingCacheMisses = 0;
-
-    /** Correlation id from RuntimeInputs (0 = untraced) and the
-     *  member's position in the batch — only member 0 feeds the
-     *  schedule-calibration fit (later members run back-to-back, so
-     *  their start times measure fusion, not the schedule). */
-    uint64_t traceId = 0;
-    uint32_t memberIndex = 0;
-};
-
-/**
- * Per-traversal state, shared by every member of the batch. The
- * schedulers walk the graph ONCE: dependency counts, consumer counts,
- * and the resident-ciphertext high-water mark are per member (members
- * are structurally identical), and "execute op h" / "release handle
- * d" fan out across members.
- */
-struct OpGraphExecutor::RunState
-{
-    std::vector<Member> members;
-    std::vector<int> indeg;
-    std::vector<int> uses;
-    size_t resident = 0;     //!< live ciphertexts PER MEMBER
-    size_t peakResident = 0; //!< per-member high-water mark
-    size_t wavefronts = 0;
-    size_t maxWavefrontWidth = 0;
+    std::vector<int> uses;   //!< remaining consumers (kSerial)
+    size_t resident = 0;     //!< live ciphertexts
+    size_t peakResident = 0; //!< high-water mark of resident
+    size_t peakOpsInFlight = 0;
     size_t steals = 0;
+    // Atomic: CKKS plaintexts are encoded at their consuming op, which
+    // work-stealing workers run concurrently.
+    std::atomic<uint64_t> encodingCacheHits{0};
+    std::atomic<uint64_t> encodingCacheMisses{0};
     EncodingCache *encCache = nullptr;
+
+    /** Correlation id from RuntimeInputs (0 = untraced). */
+    uint64_t traceId = 0;
 
     // Telemetry for this traversal; all nullptr when telemetry is off.
     obs::ProfileCollector *collector = nullptr;
@@ -225,12 +208,12 @@ struct OpGraphExecutor::RunState
      *  mirrors spans into it only while a /tracez window is armed. */
     obs::LiveTraceCapture *live = nullptr;
 
+    /** Drops ciphertext h. The caller owns the resident count: the
+     *  work-stealing scheduler keeps its own atomic one. */
     void
     release(int h)
     {
-        for (Member &m : members)
-            m.cts[h].reset();
-        --resident;
+        cts[h].reset();
         if (tracer != nullptr)
             tracer->instant(obs::TraceEventKind::kRelease, h,
                             tracer->nowNs());
@@ -316,46 +299,40 @@ OpGraphExecutor::buildGraph()
 }
 
 void
-OpGraphExecutor::prepare(const RuntimeInputs &in, RunState &st,
-                         Member &m, bool first) const
+OpGraphExecutor::prepare(const RuntimeInputs &in, RunState &st) const
 {
     const auto &ops = prog_.ops();
     const uint32_t n = prog_.n();
 
-    // Hint warming, in program order, once per batch (hints are keyed
-    // by the program shape, not by member data). Hint bits are
-    // order-independent (hintSeed), so this is a latency optimization,
-    // not a correctness requirement: it keeps key generation out of
-    // the timed region, matching the old executor's "client-side work
-    // excluded" stance.
-    if (first) {
-        for (const HeOp &op : ops) {
-            if (op.kind == HeOpKind::kMul) {
-                if (bgv_)
-                    bgv_->relinHintShared(op.level);
-                else
-                    ckks_->relinHintShared(op.level);
-            } else if (op.kind == HeOpKind::kRotate ||
-                       op.kind == HeOpKind::kConjugate) {
-                const auto &order =
-                    bgv_ ? bgv_->encoder().slotOrder()
-                         : ckks_->encoder().slotOrder();
-                const uint64_t g =
-                    op.kind == HeOpKind::kRotate
-                        ? order.rotationGalois(op.rotateBy)
-                        : order.conjugationGalois();
-                if (bgv_)
-                    bgv_->galoisHintShared(g, op.level);
-                else
-                    ckks_->galoisHintShared(g, op.level);
-            }
+    // Hint warming, in program order. Hint bits are order-independent
+    // (hintSeed), so this is a latency optimization, not a correctness
+    // requirement: it keeps key generation out of the timed region,
+    // matching the old executor's "client-side work excluded" stance.
+    for (const HeOp &op : ops) {
+        if (op.kind == HeOpKind::kMul) {
+            if (bgv_)
+                bgv_->relinHintShared(op.level);
+            else
+                ckks_->relinHintShared(op.level);
+        } else if (op.kind == HeOpKind::kRotate ||
+                   op.kind == HeOpKind::kConjugate) {
+            const auto &order =
+                bgv_ ? bgv_->encoder().slotOrder()
+                     : ckks_->encoder().slotOrder();
+            const uint64_t g =
+                op.kind == HeOpKind::kRotate
+                    ? order.rotationGalois(op.rotateBy)
+                    : order.conjugationGalois();
+            if (bgv_)
+                bgv_->galoisHintShared(g, op.level);
+            else
+                ckks_->galoisHintShared(g, op.level);
         }
     }
 
     // Inputs: encryption and encoding run serially in program order
-    // with a per-member Rng, so each member's prepared state is a pure
-    // function of (program, inputs, seed) — independent of concurrent
-    // jobs AND of the other batch members.
+    // with a per-run Rng, so the prepared state is a pure function of
+    // (program, inputs, seed), independent of concurrent jobs.
     Rng rng(in.seed);
     for (size_t i = 0; i < ops.size(); ++i) {
         const HeOp &op = ops[i];
@@ -366,7 +343,7 @@ OpGraphExecutor::prepare(const RuntimeInputs &in, RunState &st,
                 std::vector<uint64_t> slots =
                     bound ? *bound
                           : rng.uniformVector(n, bgv_->plainModulus());
-                m.cts[h] = bgv_->encryptSlots(slots, op.level, rng);
+                st.cts[h] = bgv_->encryptSlots(slots, op.level, rng);
             } else {
                 const auto *bound = ckksBinding(in, h);
                 std::vector<std::complex<double>> slots(n / 2);
@@ -376,17 +353,16 @@ OpGraphExecutor::prepare(const RuntimeInputs &in, RunState &st,
                     for (auto &s : slots)
                         s = {rng.uniformReal(-1, 1), 0.0};
                 }
-                m.cts[h] = ckks_->encrypt(slots, op.level, rng);
+                st.cts[h] = ckks_->encrypt(slots, op.level, rng);
             }
-            if (first)
-                ++st.resident; // structural count, same for everyone
+            ++st.resident;
         } else if (op.kind == HeOpKind::kInputPlain) {
             if (bgv_) {
                 const auto *bound = bgvBinding(in, h);
                 std::vector<uint64_t> slots =
                     bound ? *bound
                           : rng.uniformVector(n, bgv_->plainModulus());
-                m.bgvPts[h] = encodeBgvPlain(slots, st, m);
+                st.bgvPts[h] = encodeBgvPlain(slots, st);
             } else {
                 const auto *bound = ckksBinding(in, h);
                 std::vector<std::complex<double>> slots(n / 2);
@@ -398,7 +374,7 @@ OpGraphExecutor::prepare(const RuntimeInputs &in, RunState &st,
                 }
                 // Raw slots; encoded (and cached) lazily at the
                 // consuming op, where scale and level are known.
-                m.ckksSlots[h] = std::move(slots);
+                st.ckksSlots[h] = std::move(slots);
             }
         }
     }
@@ -407,7 +383,7 @@ OpGraphExecutor::prepare(const RuntimeInputs &in, RunState &st,
 
 std::shared_ptr<const std::vector<int64_t>>
 OpGraphExecutor::encodeBgvPlain(std::span<const uint64_t> slots,
-                                RunState &st, Member &m) const
+                                RunState &st) const
 {
     if (!st.encCache) {
         return std::make_shared<const std::vector<int64_t>>(
@@ -427,10 +403,10 @@ OpGraphExecutor::encodeBgvPlain(std::span<const uint64_t> slots,
             std::move(p), v);
     };
     if (auto hit = st.encCache->get(key)) {
-        ++m.encodingCacheHits;
+        st.encodingCacheHits.fetch_add(1, std::memory_order_relaxed);
         return alias(std::move(hit));
     }
-    ++m.encodingCacheMisses;
+    st.encodingCacheMisses.fetch_add(1, std::memory_order_relaxed);
     // A concurrent job may race the same miss; put() keeps the first
     // value, and both values are identical (encoding is pure).
     return alias(st.encCache->put(
@@ -441,14 +417,14 @@ OpGraphExecutor::encodeBgvPlain(std::span<const uint64_t> slots,
  * CKKS counterpart of encodeBgvPlain: plaintext slots are encoded to
  * an RnsPoly at the consuming ciphertext's (scale, level), and the
  * result is content-addressed in the shared cache — repeated model
- * weights across jobs and batch members encode once. Determinism:
+ * weights across jobs encode once. Determinism:
  * encoding is a pure function of (slots, scale, level), so cached and
  * fresh encodings are bit-identical.
  */
 std::shared_ptr<const RnsPoly>
 OpGraphExecutor::encodeCkksPlain(
     std::span<const std::complex<double>> slots, double scale,
-    size_t level, RunState &st, Member &m) const
+    size_t level, RunState &st) const
 {
     if (!st.encCache) {
         return std::make_shared<const RnsPoly>(
@@ -474,10 +450,10 @@ OpGraphExecutor::encodeCkksPlain(
         return std::shared_ptr<const RnsPoly>(std::move(p), v);
     };
     if (auto hit = st.encCache->get(key)) {
-        ++m.encodingCacheHits;
+        st.encodingCacheHits.fetch_add(1, std::memory_order_relaxed);
         return alias(std::move(hit));
     }
-    ++m.encodingCacheMisses;
+    st.encodingCacheMisses.fetch_add(1, std::memory_order_relaxed);
     return alias(st.encCache->put(
         key,
         EncodedPlaintext(ckks_->encoder().encode(slots, scale,
@@ -485,65 +461,65 @@ OpGraphExecutor::encodeCkksPlain(
 }
 
 void
-OpGraphExecutor::executeOp(int h, RunState &st, Member &m) const
+OpGraphExecutor::executeOp(int h, RunState &st) const
 {
     const HeOp &op = prog_.ops()[h];
     auto ct = [&](int idx) -> const Ciphertext & {
-        F1_CHECK(m.cts[idx].has_value(),
+        F1_CHECK(st.cts[idx].has_value(),
                  "operand " << idx << " not resident for op " << h);
-        return *m.cts[idx];
+        return *st.cts[idx];
     };
     switch (op.kind) {
       case HeOpKind::kInput:
       case HeOpKind::kInputPlain:
         break; // materialized by prepare()
       case HeOpKind::kAdd:
-        m.cts[h] = bgv_ ? bgv_->add(ct(op.a), ct(op.b))
+        st.cts[h] = bgv_ ? bgv_->add(ct(op.a), ct(op.b))
                         : ckks_->add(ct(op.a), ct(op.b));
         break;
       case HeOpKind::kSub:
-        m.cts[h] = bgv_ ? bgv_->sub(ct(op.a), ct(op.b))
+        st.cts[h] = bgv_ ? bgv_->sub(ct(op.a), ct(op.b))
                         : ckks_->sub(ct(op.a), ct(op.b));
         break;
       case HeOpKind::kAddPlain:
         if (bgv_) {
-            m.cts[h] = bgv_->addPlain(ct(op.a), *m.bgvPts[op.b]);
+            st.cts[h] = bgv_->addPlain(ct(op.a), *st.bgvPts[op.b]);
         } else {
             const Ciphertext &a = ct(op.a);
-            auto pt = encodeCkksPlain(m.ckksSlots[op.b], a.scale,
-                                      a.level(), st, m);
-            m.cts[h] = ckks_->addPlainEncoded(a, *pt);
+            auto pt = encodeCkksPlain(st.ckksSlots[op.b], a.scale,
+                                      a.level(), st);
+            st.cts[h] = ckks_->addPlainEncoded(a, *pt);
         }
         break;
       case HeOpKind::kMulPlain:
         if (bgv_) {
-            m.cts[h] = bgv_->mulPlain(ct(op.a), *m.bgvPts[op.b]);
+            st.cts[h] = bgv_->mulPlain(ct(op.a), *st.bgvPts[op.b]);
         } else {
             const Ciphertext &a = ct(op.a);
-            auto pt = encodeCkksPlain(m.ckksSlots[op.b],
+            auto pt = encodeCkksPlain(st.ckksSlots[op.b],
                                       ckks_->defaultScale(),
-                                      a.level(), st, m);
-            m.cts[h] = ckks_->mulPlainEncoded(a, *pt);
+                                      a.level(), st);
+            st.cts[h] = ckks_->mulPlainEncoded(a, *pt);
         }
         break;
       case HeOpKind::kMul:
-        m.cts[h] = bgv_ ? bgv_->mul(ct(op.a), ct(op.b))
+        st.cts[h] = bgv_ ? bgv_->mul(ct(op.a), ct(op.b))
                         : ckks_->mul(ct(op.a), ct(op.b));
         break;
       case HeOpKind::kRotate:
-        m.cts[h] = bgv_ ? bgv_->rotate(ct(op.a), op.rotateBy)
+        st.cts[h] = bgv_ ? bgv_->rotate(ct(op.a), op.rotateBy)
                         : ckks_->rotate(ct(op.a), op.rotateBy);
         break;
       case HeOpKind::kConjugate:
-        m.cts[h] = bgv_ ? bgv_->conjugate(ct(op.a))
+        st.cts[h] = bgv_ ? bgv_->conjugate(ct(op.a))
                         : ckks_->conjugate(ct(op.a));
         break;
       case HeOpKind::kModSwitch:
-        m.cts[h] = bgv_ ? bgv_->modSwitch(ct(op.a))
+        st.cts[h] = bgv_ ? bgv_->modSwitch(ct(op.a))
                         : ckks_->rescale(ct(op.a));
         break;
       case HeOpKind::kOutput:
-        m.outs[h] = ct(op.a);
+        st.outs[h] = ct(op.a);
         break;
     }
 }
@@ -552,15 +528,14 @@ OpGraphExecutor::executeOp(int h, RunState &st, Member &m) const
  * executeOp plus this run's telemetry. The telemetry-off path is one
  * null check, one relaxed atomic load (the /tracez live-capture arm
  * check), and a tail call — no clock reads, which is what keeps
- * disabled runs inside the <1% overhead budget. Under batching the
- * trace carries one span per (op, member).
+ * disabled runs inside the <1% overhead budget.
  */
 void
-OpGraphExecutor::runOp(int h, RunState &st, Member &m) const
+OpGraphExecutor::runOp(int h, RunState &st) const
 {
     const bool live = st.live != nullptr && st.live->armed();
     if (st.collector == nullptr && st.tracer == nullptr && !live) {
-        executeOp(h, st, m);
+        executeOp(h, st);
         return;
     }
     const HeOp &op = prog_.ops()[h];
@@ -571,150 +546,64 @@ OpGraphExecutor::runOp(int h, RunState &st, Member &m) const
         // Tracer timestamps are steady-clock ns past the tracer's
         // epoch, so the span pair doubles as the op duration.
         const int64_t t0 = st.tracer->nowNs();
-        executeOp(h, st, m);
+        executeOp(h, st);
         const int64_t ns = st.tracer->nowNs() - t0;
         if (st.collector != nullptr)
             st.collector->addOp(size_t(op.kind), uint64_t(ns));
         st.tracer->span(opKindName(op.kind), h, t0, ns, predicted,
-                        m.traceId);
+                        st.traceId);
         // Calibration pairs the compiler's predicted start cycle with
-        // the measured start relative to the traversal's own start;
-        // only the lead member records (see Member::memberIndex).
-        if (predicted >= 0 && m.memberIndex == 0)
+        // the measured start relative to the traversal's own start.
+        if (predicted >= 0)
             obs::ScheduleCalibration::global().record(
                 size_t(op.kind), opKindName(op.kind),
                 uint64_t(predicted), t0 - st.executeEpochNs);
         if (live)
             st.live->record(st.tracer->epochNs() + t0, ns,
-                            opKindName(op.kind), h, m.traceId,
+                            opKindName(op.kind), h, st.traceId,
                             predicted);
         return;
     }
     const int64_t a0 = obs::steadyNowNs();
-    executeOp(h, st, m);
+    executeOp(h, st);
     const int64_t ns = obs::steadyNowNs() - a0;
     if (st.collector != nullptr)
         st.collector->addOp(size_t(op.kind), uint64_t(ns));
     if (live)
-        st.live->record(a0, ns, opKindName(op.kind), h, m.traceId,
+        st.live->record(a0, ns, opKindName(op.kind), h, st.traceId,
                         predicted);
 }
 
 /**
- * The batching primitive: op `h` runs for every member back to back,
- * so the hint-cache entries, twiddle tables, and scratch buffers the
- * op touches stay hot across the whole batch, and the scheduler pays
- * its per-op cost (pops, retire bookkeeping, priority maintenance)
- * once per batch instead of once per job.
+ * Runs every op in topological order on the calling thread. After
+ * each op, operands it consumed for the last time are released, and a
+ * result nothing consumes (dead code) is dropped at once.
  */
-void
-OpGraphExecutor::runOpAllMembers(int h, RunState &st) const
-{
-    for (Member &m : st.members)
-        runOp(h, st, m);
-}
-
-/**
- * Post-completion bookkeeping for op `h`: unlocks dependents whose
- * operands are now all computed (appended to readyOut) and releases
- * any ciphertext that `h` consumed for the last time. Used by the
- * serial and wavefront schedulers, which run it on the coordinating
- * thread between rounds, so releases never race against in-flight
- * readers; the work-stealing scheduler has its own atomic version.
- */
-void
-OpGraphExecutor::retireOp(int h, RunState &st,
-                          std::vector<int> &readyOut) const
-{
-    for (int dep : dependents_[h]) {
-        if (--st.indeg[dep] == 0)
-            readyOut.push_back(dep);
-    }
-    int deps[2];
-    ctOperands(prog_.ops()[h], deps);
-    for (int d : deps) {
-        if (d >= 0 && --st.uses[d] == 0)
-            st.release(d);
-    }
-    // A result nothing consumes (dead code) is dropped immediately.
-    if (producesCiphertext(prog_.ops()[h]) && st.uses[h] == 0)
-        st.release(h);
-}
-
 void
 OpGraphExecutor::runSerial(RunState &st) const
 {
     const auto &ops = prog_.ops();
-    std::vector<int> ignored;
     for (int h : topoOrder_) {
         const HeOp &op = ops[h];
         if (isSource(op))
             continue;
-        runOpAllMembers(h, st);
+        runOp(h, st);
+        st.peakOpsInFlight = 1;
         if (producesCiphertext(op))
             ++st.resident;
         st.peakResident = std::max(st.peakResident, st.resident);
-        retireOp(h, st, ignored);
-        ++st.wavefronts;
-        st.maxWavefrontWidth = 1;
-    }
-}
-
-void
-OpGraphExecutor::runWavefront(RunState &st,
-                              const ExecutionPolicy &policy) const
-{
-    const auto &ops = prog_.ops();
-    const size_t n = ops.size();
-    const OpPriority prio{policy.scheduleHints};
-    const auto byPriority = [&](int a, int b) {
-        return prio.before(a, b);
-    };
-
-    // Seed the first wavefront by propagating input completions.
-    std::vector<int> ready;
-    for (size_t i = 0; i < n; ++i) {
-        if (!isSource(ops[i]))
-            continue;
-        for (int dep : dependents_[i]) {
-            if (--st.indeg[dep] == 0)
-                ready.push_back(dep);
+        int deps[2];
+        ctOperands(op, deps);
+        for (int d : deps) {
+            if (d >= 0 && --st.uses[d] == 0) {
+                st.release(d);
+                --st.resident;
+            }
         }
-    }
-    std::sort(ready.begin(), ready.end(), byPriority);
-
-    // The parallel grain is (op, member): a round with R ready ops
-    // and B members dispatches R*B bodies, so a wide batch keeps the
-    // pool saturated even on narrow program regions. Index order is
-    // op-major (member minor), so the inline fallback runs each op
-    // across all members back to back — the batching locality the
-    // fused traversal exists for.
-    const size_t B = st.members.size();
-    std::vector<int> next;
-    while (!ready.empty()) {
-        ++st.wavefronts;
-        st.maxWavefrontWidth =
-            std::max(st.maxWavefrontWidth, ready.size());
-        if (ready.size() * B == 1) {
-            runOp(ready[0], st, st.members[0]);
-        } else {
-            parallelFor(0, ready.size() * B, [&](size_t i) {
-                runOp(ready[i / B], st, st.members[i % B]);
-            });
+        if (producesCiphertext(op) && st.uses[h] == 0) {
+            st.release(h);
+            --st.resident;
         }
-        for (int h : ready) {
-            if (producesCiphertext(ops[h]))
-                ++st.resident;
-        }
-        st.peakResident = std::max(st.peakResident, st.resident);
-        next.clear();
-        for (int h : ready)
-            retireOp(h, st, next);
-        // The priority order keeps the within-wavefront claim order
-        // deterministic under F1_THREADS=1 (inline index order);
-        // without hints it is ascending handles, as before.
-        std::sort(next.begin(), next.end(), byPriority);
-        ready.swap(next);
     }
 }
 
@@ -774,8 +663,6 @@ OpGraphExecutor::runWorkStealing(RunState &st,
     std::atomic<size_t> resident{st.resident};
     std::atomic<size_t> peakResident{st.peakResident};
     std::atomic<size_t> steals{0};
-    // Ops concurrently in flight; the peak is WS's analogue of the
-    // wavefront scheduler's maxWavefrontWidth (see ExecutionResult).
     std::atomic<size_t> running{0};
     std::atomic<size_t> peakRunning{0};
     std::atomic<bool> abort{false};
@@ -819,19 +706,10 @@ OpGraphExecutor::runWorkStealing(RunState &st,
     };
 
     auto releaseCt = [&](int h) {
-        for (Member &m : st.members)
-            m.cts[h].reset();
+        st.release(h);
         resident.fetch_sub(1, std::memory_order_relaxed);
-        if (st.tracer != nullptr)
-            st.tracer->instant(obs::TraceEventKind::kRelease, h,
-                               st.tracer->nowNs());
     };
 
-    // The WS work unit stays one op across ALL members: the op is
-    // popped once, its hint/twiddle working set is touched once, and
-    // only then do dependents unlock — exactly the amortization the
-    // coalescer buys. Member outputs are disjoint, so no member-level
-    // synchronization is needed.
     auto runOne = [&](size_t wid, int h) {
         const size_t now =
             running.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -840,7 +718,7 @@ OpGraphExecutor::runWorkStealing(RunState &st,
                !peakRunning.compare_exchange_weak(
                    wide, now, std::memory_order_relaxed)) {
         }
-        runOpAllMembers(h, st);
+        runOp(h, st);
         running.fetch_sub(1, std::memory_order_relaxed);
         if (producesCiphertext(ops[h])) {
             const size_t cur =
@@ -924,27 +802,15 @@ OpGraphExecutor::runWorkStealing(RunState &st,
     st.resident = resident.load(std::memory_order_relaxed);
     st.peakResident = peakResident.load(std::memory_order_relaxed);
     st.steals = steals.load(std::memory_order_relaxed);
-    st.maxWavefrontWidth =
-        peakRunning.load(std::memory_order_relaxed);
+    st.peakOpsInFlight = peakRunning.load(std::memory_order_relaxed);
 }
 
 ExecutionResult
 OpGraphExecutor::execute(const RuntimeInputs &in,
                          const ExecutionPolicy &policy) const
 {
-    auto results =
-        executeBatch(std::span<const RuntimeInputs>(&in, 1), policy);
-    return std::move(results.front());
-}
-
-std::vector<ExecutionResult>
-OpGraphExecutor::executeBatch(std::span<const RuntimeInputs> inputs,
-                              const ExecutionPolicy &policy) const
-{
     const auto &ops = prog_.ops();
     const size_t n = ops.size();
-    const size_t B = inputs.size();
-    F1_REQUIRE(B > 0, "executeBatch needs at least one member");
     if (policy.scheduleHints != nullptr) {
         F1_REQUIRE(policy.scheduleHints->size() == n,
                    "schedule hints describe "
@@ -953,18 +819,12 @@ OpGraphExecutor::executeBatch(std::span<const RuntimeInputs> inputs,
     }
 
     RunState st;
-    st.members.resize(B);
-    for (size_t b = 0; b < B; ++b) {
-        Member &m = st.members[b];
-        m.cts.resize(n);
-        m.outs.resize(n);
-        m.bgvPts.resize(n);
-        m.ckksSlots.resize(n);
-        m.traceId = inputs[b].traceId;
-        m.memberIndex = uint32_t(b);
-    }
-    st.indeg = indegree_;
+    st.cts.resize(n);
+    st.outs.resize(n);
+    st.bgvPts.resize(n);
+    st.ckksSlots.resize(n);
     st.uses = consumers_;
+    st.traceId = in.traceId;
     st.encCache = policy.encodingCache;
     st.hints = policy.scheduleHints;
     st.live = &obs::LiveTraceCapture::global();
@@ -973,9 +833,7 @@ OpGraphExecutor::executeBatch(std::span<const RuntimeInputs> inputs,
     // The ProfileScope around each phase makes pool batches dispatched
     // from it inherit the collector (see ThreadPool::run), so nested
     // limb-parallel work is attributed to this run — and a run WITHOUT
-    // a collector shadows any outer one instead of polluting it. A
-    // batch collects ONE profile/trace for the whole traversal and
-    // shares it across members' results.
+    // a collector shadows any outer one instead of polluting it.
     std::unique_ptr<obs::ProfileCollector> collector;
     std::unique_ptr<obs::Tracer> tracer;
     if (policy.telemetry.profile)
@@ -992,17 +850,14 @@ OpGraphExecutor::executeBatch(std::span<const RuntimeInputs> inputs,
         if (!isSource(op))
             ++totalWork;
 
-    // Prepare members serially, each from its own Rng(seed): member
-    // i's prepared state is byte-for-byte what a solo run would build.
-    // Flight-recorder hooks: one dispatch event per batch traversal
-    // (jobId 0 — the executor doesn't know serving job ids; the
-    // engine's per-job admit/complete events bracket this one by
-    // fingerprint) and one batch-level fail event when the traversal
-    // throws, so a post-mortem shows WHERE in the pipeline a job died.
+    // Flight-recorder hooks: one dispatch event per traversal (jobId
+    // 0 — the executor doesn't know serving job ids; the engine's
+    // per-job admit/complete events bracket this one by fingerprint)
+    // and one fail event when the traversal throws, so a post-mortem
+    // shows WHERE in the pipeline a job died.
     obs::FlightRecorder &rec = obs::FlightRecorder::global();
     rec.record(obs::ServingEventKind::kDispatch, 0,
-               policy.telemetry.label, fp_, uint32_t(B),
-               inputs[0].traceId);
+               policy.telemetry.label, fp_, 1, in.traceId);
 
     const double p0 = steadyNowMs();
     double prepareMs = 0;
@@ -1010,8 +865,7 @@ OpGraphExecutor::executeBatch(std::span<const RuntimeInputs> inputs,
     try {
         {
             obs::ProfileScope profScope(st.collector);
-            for (size_t b = 0; b < B; ++b)
-                prepare(inputs[b], st, st.members[b], b == 0);
+            prepare(in, st);
         }
         prepareMs = steadyNowMs() - p0;
 
@@ -1021,27 +875,31 @@ OpGraphExecutor::executeBatch(std::span<const RuntimeInputs> inputs,
             // The calibration origin: measured op starts are relative
             // to the moment the traversal begins (tracer clock).
             st.executeEpochNs = st.tracer ? st.tracer->nowNs() : 0;
-            switch (policy.scheduler) {
-              case SchedulerKind::kSerial:
+            if (policy.scheduler == SchedulerKind::kSerial)
                 runSerial(st);
-                break;
-              case SchedulerKind::kWavefront:
-                runWavefront(st, policy);
-                break;
-              case SchedulerKind::kWorkStealing:
+            else
                 runWorkStealing(st, policy);
-                break;
-            }
         }
         wallMs = steadyNowMs() - t0;
     } catch (...) {
         rec.record(obs::ServingEventKind::kFail, 0,
-                   policy.telemetry.label, fp_, uint32_t(B),
-                   inputs[0].traceId);
+                   policy.telemetry.label, fp_, 1, in.traceId);
         throw;
     }
 
-    std::shared_ptr<const obs::ExecutionProfile> profile;
+    ExecutionResult r;
+    r.wallMs = wallMs;
+    r.opsExecuted = totalWork;
+    r.peakResidentCiphertexts = st.peakResident;
+    r.peakOpsInFlight = st.peakOpsInFlight;
+    r.steals = st.steals;
+    r.encodingCacheHits = st.encodingCacheHits.load();
+    r.encodingCacheMisses = st.encodingCacheMisses.load();
+    for (size_t i = 0; i < n; ++i) {
+        if (ops[i].kind == HeOpKind::kOutput)
+            r.outputs[static_cast<int>(i)] = std::move(*st.outs[i]);
+    }
+
     if (collector) {
         auto prof = std::make_shared<obs::ExecutionProfile>();
         prof->label = policy.telemetry.label;
@@ -1068,56 +926,28 @@ OpGraphExecutor::executeBatch(std::span<const RuntimeInputs> inputs,
             counter(obs::ProfileCounter::kBasisExtend);
         prof->cacheHits = counter(obs::ProfileCounter::kCacheHit);
         prof->cacheMisses = counter(obs::ProfileCounter::kCacheMiss);
-        for (const Member &m : st.members) {
-            prof->encodingCacheHits += m.encodingCacheHits;
-            prof->encodingCacheMisses += m.encodingCacheMisses;
-        }
+        prof->encodingCacheHits = r.encodingCacheHits;
+        prof->encodingCacheMisses = r.encodingCacheMisses;
         prof->scratchPeakWords = collector->scratchPeakWords.load(
             std::memory_order_relaxed);
         prof->prepareMs = prepareMs;
         prof->executeMs = wallMs;
-        for (const Member &m : st.members)
-            prof->traceIds.push_back(m.traceId);
-        profile = std::move(prof);
+        prof->traceId = in.traceId;
+        r.profile = std::move(prof);
     }
-    std::shared_ptr<const obs::Trace> trace;
     if (tracer)
-        trace = std::make_shared<const obs::Trace>(tracer->finish());
-
-    std::vector<ExecutionResult> results(B);
-    for (size_t b = 0; b < B; ++b) {
-        ExecutionResult &r = results[b];
-        Member &m = st.members[b];
-        r.wallMs = wallMs;
-        r.opsExecuted = totalWork;
-        r.batchSize = B;
-        r.peakResidentCiphertexts = st.peakResident;
-        r.wavefronts = st.wavefronts;
-        r.maxWavefrontWidth = st.maxWavefrontWidth;
-        r.steals = st.steals;
-        r.encodingCacheHits = m.encodingCacheHits;
-        r.encodingCacheMisses = m.encodingCacheMisses;
-        r.profile = profile;
-        r.trace = trace;
-        for (size_t i = 0; i < n; ++i) {
-            if (ops[i].kind == HeOpKind::kOutput)
-                r.outputs[static_cast<int>(i)] =
-                    std::move(*m.outs[i]);
-        }
-    }
+        r.trace = std::make_shared<const obs::Trace>(tracer->finish());
 
     // Registry fold: cheap per-RUN (not per-op) aggregate metrics,
     // always on — this is the "one snapshot" the bespoke stats structs
-    // used to scatter. A batch counts one run per member and the full
-    // fused op count (op x member), so executor.ops stays "homomorphic
-    // ops actually executed" whether jobs batched or not.
+    // used to scatter.
     ExecutorMetrics &em = ExecutorMetrics::get();
-    em.runs.inc(B);
-    em.ops.inc(totalWork * B);
+    em.runs.inc();
+    em.ops.inc(totalWork);
     em.steals.inc(st.steals);
     em.executeMs.observe(wallMs);
 
-    return results;
+    return r;
 }
 
 } // namespace f1

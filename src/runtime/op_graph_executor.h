@@ -11,16 +11,14 @@
  * the two levels compose without nesting deadlocks: wide op-level
  * parallelism narrows gracefully into per-limb parallelism.
  *
- * Three schedulers (ExecutionPolicy::scheduler):
+ * One job per graph traversal, under one of two schedulers
+ * (ExecutionPolicy::scheduler):
  *  - kSerial: one op at a time in deterministic topological (program)
- *    order — the debugging/baseline mode.
- *  - kWavefront: rounds of all-ready ops with a barrier between
- *    rounds. Simple, but imbalanced rounds leave threads idle at the
- *    barrier.
- *  - kWorkStealing: continuation scheduling. Each completed op
- *    decrements its consumers' dependency counts and enqueues
- *    newly-ready ops on the completing worker's deque; idle workers
- *    steal. No thread ever waits at a round barrier. When
+ *    order — the golden order the other scheduler is checked against.
+ *  - kWorkStealing (default): continuation scheduling. Each
+ *    completed op decrements its consumers' dependency counts and
+ *    enqueues newly-ready ops on the completing worker's deque; idle
+ *    workers steal, so no thread waits for a slower peer. When
  *    ExecutionPolicy::scheduleHints carries the compiler's static
  *    schedule, ready ops are prioritized critical-path-first
  *    (cycle-scheduler issue order) with memory-scheduler liveness
@@ -31,8 +29,8 @@
  * homomorphic op is a pure function of its operands (hint randomness
  * is derived per identity — see hintSeed — and encryption randomness
  * comes from a per-run Rng consumed in program order during the
- * serial prepare phase), so outputs are bit-identical for any
- * scheduler, thread count, schedule hints, and concurrent-job
+ * serial prepare phase), so outputs are bit-identical for either
+ * scheduler, any thread count, schedule hints, and concurrent-job
  * interleaving. tests/test_runtime.cpp asserts this.
  *
  * Liveness: the executor counts the consumers of every ciphertext
@@ -48,7 +46,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <span>
 #include <variant>
 #include <vector>
@@ -65,16 +62,8 @@ namespace f1 {
 /** How the executor walks the op graph. */
 enum class SchedulerKind : uint8_t {
     kSerial,       //!< topological program order, one op at a time
-    kWavefront,    //!< ready wavefronts with a barrier per round
     kWorkStealing, //!< continuation scheduling on per-worker deques
 };
-
-/**
- * Deprecated: historical name for SchedulerKind, kept so pre-policy
- * call sites (setDispatchMode) compile unchanged. New code should
- * spell SchedulerKind and pass it through ExecutionPolicy.
- */
-using DispatchMode = SchedulerKind;
 
 /**
  * Slot data bound to one input handle. The alternative encodes the
@@ -124,23 +113,12 @@ struct RuntimeInputs
 };
 
 /**
- * Per-run results and scheduler statistics. The stats fields are
- * populated consistently by ALL three schedulers:
+ * Per-run results and scheduler statistics, populated by both
+ * schedulers:
  *  - opsExecuted / peakResidentCiphertexts / encodingCache*: always.
- *  - wavefronts / maxWavefrontWidth: kSerial reports (opsExecuted, 1);
- *    kWavefront reports its dispatch rounds and widest round;
- *    kWorkStealing reports 0 rounds (it has none) and the peak number
- *    of ops concurrently in flight as the width.
- *  - steals: nonzero only under kWorkStealing; 0 elsewhere.
- *
- * Batched execution (executeBatch) returns one ExecutionResult per
- * batch member. outputs / encodingCache{Hits,Misses} / opsExecuted /
- * peakResidentCiphertexts are per member (identical to what a solo
- * run of that member reports, ciphertext-count-wise, because every
- * member walks the same graph); wallMs / wavefronts /
- * maxWavefrontWidth / steals describe the one shared traversal and
- * repeat across members; profile and trace, when enabled, are
- * collected once for the whole batch and shared by every member.
+ *  - peakOpsInFlight: 1 under kSerial; the peak number of ops
+ *    concurrently running under kWorkStealing.
+ *  - steals: nonzero only under kWorkStealing.
  */
 struct ExecutionResult
 {
@@ -151,17 +129,16 @@ struct ExecutionResult
      *  the prepare phase and not counted). */
     size_t opsExecuted = 0;
 
-    /** Members fused into the traversal that produced this result
-     *  (1 for execute()). */
+    /** Jobs in the traversal that produced this result: always 1,
+     *  since every traversal runs one job. Kept only because the
+     *  benchmark reads it. */
     size_t batchSize = 1;
 
-    /** High-water mark of simultaneously live ciphertexts PER MEMBER
-     *  (inputs and intermediates; outputs are copied out and not
-     *  counted). A batch holds batchSize times this many. */
+    /** High-water mark of simultaneously live ciphertexts (inputs and
+     *  intermediates; outputs are copied out and not counted). */
     size_t peakResidentCiphertexts = 0;
 
-    size_t wavefronts = 0;        //!< dispatch rounds (0 under WS)
-    size_t maxWavefrontWidth = 0; //!< widest concurrent op set
+    size_t peakOpsInFlight = 0; //!< most ops running at once
     size_t steals = 0; //!< ops taken from another worker's deque (WS)
 
     /** Plaintext-encoding cache traffic attributable to this run. */
@@ -225,7 +202,7 @@ using EncodingCache =
  * for (size checked at execute()); nullptr runs hint-free with
  * ascending-handle priority, which preserves the historical order.
  * threadBudget caps the worker count of the work-stealing scheduler
- * (0 = the whole pool); kSerial/kWavefront ignore it. encodingCache
+ * (0 = the whole pool); kSerial ignores it. encodingCache
  * nullptr means encode per run. telemetry turns on per-op tracing
  * and/or a per-run ExecutionProfile (both off by default; disabled
  * runs pay only thread-local null checks — see obs/telemetry.h).
@@ -253,80 +230,25 @@ class OpGraphExecutor
     OpGraphExecutor(const Program &prog, BgvScheme *bgv);
     OpGraphExecutor(const Program &prog, CkksScheme *ckks);
 
-    /** The single-job entry point: runs `in` under `policy`.
-     *  Equivalent to executeBatch with a one-element span. */
+    /** Runs one job, `in`, under `policy`. */
     ExecutionResult execute(const RuntimeInputs &in = {},
                             const ExecutionPolicy &policy = {}) const;
 
-    /**
-     * Fused execution of `inputs.size()` jobs of THIS program in one
-     * graph traversal: each HeOp is dispatched once and executed
-     * across every batch member before its operands are released, so
-     * per-op overhead (ready-set pops, hint-cache probes, scheduling
-     * bookkeeping, encoding-cache lookups) amortizes over the batch —
-     * the serving engine's coalescer feeds identical-program jobs
-     * here. Returns one ExecutionResult per member, in input order.
-     *
-     * Determinism: member i's outputs are bit-identical to a solo
-     * execute(inputs[i], policy) — prepare() draws each member's
-     * randomness from its own Rng(seed) in program order, and every
-     * homomorphic op is a pure function of one member's operands, so
-     * fusion shares scheduling and caches but never data.
-     */
-    std::vector<ExecutionResult>
-    executeBatch(std::span<const RuntimeInputs> inputs,
-                 const ExecutionPolicy &policy = {}) const;
-
-    //
-    // Deprecated pre-policy shims. They fold into a stored
-    // ExecutionPolicy that run() forwards to execute(); the stored
-    // default keeps the historical kWavefront dispatch. New code
-    // should call execute() directly.
-    //
-
-    /** Deprecated: use ExecutionPolicy::scheduler. */
-    void setDispatchMode(DispatchMode mode)
-    {
-        shimPolicy_.scheduler = mode;
-    }
-    /** Deprecated: reads the shim policy, not a live execution. */
-    DispatchMode dispatchMode() const { return shimPolicy_.scheduler; }
-
-    /** Deprecated: use ExecutionPolicy::encodingCache. */
-    void setEncodingCache(EncodingCache *cache)
-    {
-        shimPolicy_.encodingCache = cache;
-    }
-
-    /** Deprecated: execute() under the shim policy. */
-    ExecutionResult run(const RuntimeInputs &in = {}) const
-    {
-        return execute(in, shimPolicy_);
-    }
-
   private:
     struct RunState;
-    struct Member;
 
     void buildGraph();
-    void prepare(const RuntimeInputs &in, RunState &st,
-                 Member &m, bool first) const;
+    void prepare(const RuntimeInputs &in, RunState &st) const;
     std::shared_ptr<const std::vector<int64_t>>
-    encodeBgvPlain(std::span<const uint64_t> slots, RunState &st,
-                   Member &m) const;
+    encodeBgvPlain(std::span<const uint64_t> slots,
+                   RunState &st) const;
     std::shared_ptr<const RnsPoly>
     encodeCkksPlain(std::span<const std::complex<double>> slots,
-                    double scale, size_t level, RunState &st,
-                    Member &m) const;
-    void executeOp(int h, RunState &st, Member &m) const;
+                    double scale, size_t level, RunState &st) const;
+    void executeOp(int h, RunState &st) const;
     //! executeOp + telemetry
-    void runOp(int h, RunState &st, Member &m) const;
-    void runOpAllMembers(int h, RunState &st) const;
-    void retireOp(int h, RunState &st,
-                  std::vector<int> &readyOut) const;
+    void runOp(int h, RunState &st) const;
     void runSerial(RunState &st) const;
-    void runWavefront(RunState &st,
-                      const ExecutionPolicy &policy) const;
     void runWorkStealing(RunState &st,
                          const ExecutionPolicy &policy) const;
 
@@ -334,8 +256,6 @@ class OpGraphExecutor
     uint64_t fp_ = 0; //!< prog_.fingerprint(), cached for event hooks
     BgvScheme *bgv_ = nullptr;
     CkksScheme *ckks_ = nullptr;
-    ExecutionPolicy shimPolicy_{SchedulerKind::kWavefront, nullptr, 0,
-                                nullptr};
 
     // Graph structure, fixed per program.
     std::vector<std::vector<int>> dependents_; //!< ct-edge successors

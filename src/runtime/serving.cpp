@@ -157,8 +157,6 @@ ServingEngine::ServingEngine(CkksScheme *ckks, ServingConfig cfg)
 void
 ServingEngine::start()
 {
-    if (cfg_.maxBatch == 0)
-        cfg_.maxBatch = 1;
     // Gauges read the lock-free mirrors, never m_: a registry
     // snapshot holds the registry lock while evaluating gauges, and a
     // submit() path may snapshot the registry — an m_-taking gauge
@@ -193,7 +191,7 @@ ServingEngine::~ServingEngine()
         w.join();
     // Teardown-with-failures: leave the post-mortem on disk even if
     // nobody inspected the per-failure dumps while serving.
-    if (!cfg_.eventDumpPath.empty() && stats_.failed > 0)
+    if (!cfg_.eventDumpPath.empty() && anyFailed_)
         obs::FlightRecorder::global().dumpToFile(cfg_.eventDumpPath);
 }
 
@@ -247,7 +245,6 @@ ServingEngine::submit(JobRequest req)
                 admission_.decide(*snap, req.tenant, tp, depth);
             if (!d.admit) {
                 ServingMetrics::get().shed.inc();
-                ++stats_.shed;
                 rec.record(obs::ServingEventKind::kShed, 0,
                            req.tenant, fp, 0, traceId);
                 throw AdmissionRejected("job shed for tenant \"" +
@@ -263,25 +260,19 @@ ServingEngine::submit(JobRequest req)
         job.priority = tp.priority;
         job.deadlineAtMs = job.submitMs + tp.deadlineMs;
         job.traceId = traceId;
-        // The inputs travel into executeBatch by move (runBatch), so
-        // stamping them here threads the id into spans + profile
+        // Stamping the inputs threads the id into spans + profile
         // without widening the executor API.
         job.req.inputs.traceId = traceId;
         fut = job.promise.get_future();
 
-        auto [it, inserted] = queues_.try_emplace(job.req.tenant);
-        if (inserted)
-            tenantOrder_.push_back(job.req.tenant);
+        auto it = queues_.try_emplace(job.req.tenant).first;
         const std::string &tenant = it->first;
         it->second.push_back(std::move(job));
         ++pending_;
-        ++stats_.submitted;
         ServingMetrics::get().submitted.inc();
-        stats_.peakQueueDepth =
-            std::max(stats_.peakQueueDepth, pending_);
         depthNow_.store(pending_, std::memory_order_relaxed);
-        depthPeak_.store(stats_.peakQueueDepth,
-                         std::memory_order_relaxed);
+        if (pending_ > depthPeak_.load(std::memory_order_relaxed))
+            depthPeak_.store(pending_, std::memory_order_relaxed);
         rec.record(obs::ServingEventKind::kAdmit, jobId, tenant, fp,
                    0, traceId);
     }
@@ -289,221 +280,131 @@ ServingEngine::submit(JobRequest req)
     return fut;
 }
 
-bool
-ServingEngine::popBatch(std::vector<Job> &out)
+std::optional<ServingEngine::Job>
+ServingEngine::popNext()
 {
-    // Called with m_ held. Stage 2 of the pipeline: pick the dispatch
-    // head under the configured policy, then coalesce.
-    const size_t n = tenantOrder_.size();
-    size_t leadIdx = n;
-    if (cfg_.scheduling == SchedulingPolicy::kRoundRobin) {
-        // Scan tenants round-robin from the cursor; the cursor
-        // advances past the tenant served, so a tenant with a deep
-        // queue yields to every other tenant between its jobs.
-        for (size_t k = 0; k < n; ++k) {
-            const size_t idx = (rrCursor_ + k) % n;
-            if (!queues_[tenantOrder_[idx]].empty()) {
-                leadIdx = idx;
-                rrCursor_ = (idx + 1) % n;
-                break;
-            }
+    // Called with m_ held. A tenant's class is fixed and its queue is
+    // FIFO, so each queue's front is that tenant's most urgent job —
+    // scanning fronts finds the global (priority, EDF, id) head.
+    //
+    // Burn-rate penalty (the scheduling tier BELOW admission
+    // shedding): a tenant at/over half the configured shed threshold
+    // (AdmissionLimits::maxBurnRate) is already deep into its error
+    // budget, so its jobs lose to EVERY unpenalized tenant's
+    // regardless of class priority — the budget-burner yields the
+    // datapath before admission has to start rejecting it outright.
+    // Among equally-penalized (or equally-clean) fronts the normal
+    // priority/EDF/id order holds. Disabled when maxBurnRate is 0 (no
+    // SLO shedding configured means no SLO scheduling either).
+    // slo_.burnRate takes the tracker mutex under m_; safe — see
+    // obs/slo.h.
+    const double maxBurn = cfg_.admission.maxBurnRate;
+    std::deque<Job> *bestQ = nullptr;
+    bool bestPenalized = false;
+    bool sawPenalized = false;
+    for (auto &[tenant, q] : queues_) {
+        if (q.empty())
+            continue;
+        const Job &c = q.front();
+        const bool penalized =
+            maxBurn > 0 && slo_.burnRate(tenant) >= 0.5 * maxBurn;
+        sawPenalized |= penalized;
+        bool wins;
+        if (bestQ == nullptr) {
+            wins = true;
+        } else if (penalized != bestPenalized) {
+            wins = !penalized;
+        } else {
+            const Job &b = bestQ->front();
+            wins = c.priority > b.priority ||
+                   (c.priority == b.priority &&
+                    (c.deadlineAtMs < b.deadlineAtMs ||
+                     (c.deadlineAtMs == b.deadlineAtMs && c.id < b.id)));
         }
-    } else {
-        // kDeadline: a tenant's class is fixed and its queue is FIFO,
-        // so each queue's front is that tenant's most urgent job —
-        // scanning fronts finds the global (priority, EDF) head.
-        //
-        // Burn-rate penalty (the scheduling tier BELOW admission
-        // shedding): a tenant at/over half the configured shed
-        // threshold (AdmissionLimits::maxBurnRate) is already deep
-        // into its error budget, so its jobs lose to EVERY
-        // unpenalized tenant's regardless of class priority — the
-        // budget-burner yields the datapath before admission has to
-        // start rejecting it outright. Among equally-penalized (or
-        // equally-clean) fronts the normal priority/EDF/id order
-        // holds. Disabled when maxBurnRate is 0 (no SLO shedding
-        // configured means no SLO scheduling either). slo_.burnRate
-        // takes the tracker mutex under m_; safe — see obs/slo.h.
-        const double maxBurn = cfg_.admission.maxBurnRate;
-        const Job *best = nullptr;
-        bool bestPenalized = false;
-        bool sawPenalized = false;
-        for (size_t idx = 0; idx < n; ++idx) {
-            auto &q = queues_[tenantOrder_[idx]];
-            if (q.empty())
-                continue;
-            const Job &c = q.front();
-            const bool penalized =
-                maxBurn > 0 &&
-                slo_.burnRate(tenantOrder_[idx]) >= 0.5 * maxBurn;
-            sawPenalized |= penalized;
-            bool wins;
-            if (best == nullptr) {
-                wins = true;
-            } else if (penalized != bestPenalized) {
-                wins = !penalized;
-            } else {
-                wins = c.priority > best->priority ||
-                       (c.priority == best->priority &&
-                        (c.deadlineAtMs < best->deadlineAtMs ||
-                         (c.deadlineAtMs == best->deadlineAtMs &&
-                          c.id < best->id)));
-            }
-            if (wins) {
-                best = &c;
-                bestPenalized = penalized;
-                leadIdx = idx;
-            }
-        }
-        if (sawPenalized && best != nullptr && !bestPenalized)
-            ServingMetrics::get().dispatchPenalties.inc();
-    }
-    if (leadIdx == n)
-        return false;
-
-    auto &leadQ = queues_[tenantOrder_[leadIdx]];
-    out.push_back(std::move(leadQ.front()));
-    leadQ.pop_front();
-
-    // Coalesce: pull queued jobs whose program fingerprint matches
-    // the lead's — any tenant, any queue position — up to maxBatch.
-    // Pulling mid-queue jobs forward never reorders RESULTS (each job
-    // resolves its own future) and never changes bits (executeBatch's
-    // determinism contract); it trades strict dispatch order for one
-    // shared traversal, which is the batching win.
-    const uint64_t fp = out.front().programFp;
-    for (size_t k = 0; k < n && out.size() < cfg_.maxBatch; ++k) {
-        auto &q = queues_[tenantOrder_[(leadIdx + k) % n]];
-        for (auto it = q.begin();
-             it != q.end() && out.size() < cfg_.maxBatch;) {
-            if (it->programFp == fp) {
-                // Recording is lock-free, so it is safe under m_.
-                obs::FlightRecorder::global().record(
-                    obs::ServingEventKind::kCoalesce, it->id,
-                    it->req.tenant, fp,
-                    uint32_t(out.size() + 1), it->traceId);
-                out.push_back(std::move(*it));
-                it = q.erase(it);
-            } else {
-                ++it;
-            }
+        if (wins) {
+            bestQ = &q;
+            bestPenalized = penalized;
         }
     }
-    return true;
+    if (bestQ == nullptr)
+        return std::nullopt;
+    if (sawPenalized && !bestPenalized)
+        ServingMetrics::get().dispatchPenalties.inc();
+    std::optional<Job> out(std::move(bestQ->front()));
+    bestQ->pop_front();
+    return out;
 }
 
 void
-ServingEngine::runBatch(std::vector<Job> &batch)
+ServingEngine::runJob(Job &job)
 {
     const double startMs = steadyNowMs();
     ServingMetrics &sm = ServingMetrics::get();
-    sm.batchSize.observe(double(batch.size()));
+    sm.batchSize.observe(1.0); // one job per traversal, always
 
-    bool failed = false;
+    JobResult result;
     std::exception_ptr error;
-    std::vector<JobResult> results;
     try {
-        const Job &lead = batch.front();
         OpGraphExecutor exec =
-            bgv_ ? OpGraphExecutor(*lead.req.program, bgv_)
-                 : OpGraphExecutor(*lead.req.program, ckks_);
+            bgv_ ? OpGraphExecutor(*job.req.program, bgv_)
+                 : OpGraphExecutor(*job.req.program, ckks_);
         ExecutionPolicy pol = cfg_.policy;
         pol.encodingCache = &encCache_;
-        if (lead.req.hints != nullptr)
-            pol.scheduleHints = lead.req.hints;
-        // Tag the batch's telemetry artifacts with the tenant when
-        // the whole batch belongs to one, unless the configured
-        // policy already carries an explicit label.
-        if (pol.telemetry.enabled() && pol.telemetry.label.empty()) {
-            bool oneTenant = true;
-            for (const Job &j : batch)
-                oneTenant &= j.req.tenant == lead.req.tenant;
-            pol.telemetry.label =
-                oneTenant ? lead.req.tenant : "batch";
-        }
-
-        std::vector<RuntimeInputs> ins;
-        ins.reserve(batch.size());
-        for (Job &j : batch)
-            ins.push_back(std::move(j.req.inputs));
-        std::vector<ExecutionResult> execs =
-            exec.executeBatch(ins, pol);
-
-        const double endMs = steadyNowMs();
-        results.resize(batch.size());
-        for (size_t i = 0; i < batch.size(); ++i) {
-            results[i].jobId = batch[i].id;
-            results[i].tenant = batch[i].req.tenant;
-            results[i].exec = std::move(execs[i]);
-            results[i].queueMs = startMs - batch[i].submitMs;
-            results[i].serviceMs = endMs - startMs;
-            results[i].traceId = batch[i].traceId;
-        }
+        if (job.req.hints != nullptr)
+            pol.scheduleHints = job.req.hints;
+        // Tag the job's telemetry artifacts with its tenant, unless
+        // the configured policy already carries an explicit label.
+        if (pol.telemetry.enabled() && pol.telemetry.label.empty())
+            pol.telemetry.label = job.req.tenant;
+        result.exec = exec.execute(job.req.inputs, pol);
+        result.jobId = job.id;
+        result.tenant = job.req.tenant;
+        result.queueMs = startMs - job.submitMs;
+        result.serviceMs = steadyNowMs() - startMs;
+        result.traceId = job.traceId;
     } catch (...) {
-        failed = true;
         error = std::current_exception();
-        // Promises are fulfilled below, AFTER the flight-recorder /
-        // SLO / stats bookkeeping: a waiter that observes the
-        // exception must also observe the failure's post-mortem.
+        // The promise is fulfilled below, AFTER the flight-recorder /
+        // SLO bookkeeping: a waiter that observes the exception must
+        // also observe the failure's post-mortem.
     }
 
     obs::FlightRecorder &rec = obs::FlightRecorder::global();
-    if (failed) {
-        sm.failed.inc(batch.size());
-        for (const Job &j : batch) {
-            rec.record(obs::ServingEventKind::kFail, j.id,
-                       j.req.tenant, j.programFp,
-                       uint32_t(batch.size()), j.traceId);
-            // A failed job attained nothing: an infinite latency
-            // misses any finite deadline in the SLO window.
-            slo_.recordJob(j.req.tenant,
-                           std::numeric_limits<double>::infinity(),
-                           policyFor(j.req.tenant).deadlineMs);
-        }
+    const double deadlineMs = policyFor(job.req.tenant).deadlineMs;
+    if (error) {
+        sm.failed.inc();
+        rec.record(obs::ServingEventKind::kFail, job.id, job.req.tenant,
+                   job.programFp, 1, job.traceId);
+        // A failed job attained nothing: an infinite latency misses
+        // any finite deadline in the SLO window.
+        slo_.recordJob(job.req.tenant,
+                       std::numeric_limits<double>::infinity(),
+                       deadlineMs);
         if (!cfg_.eventDumpPath.empty())
             rec.dumpToFile(cfg_.eventDumpPath);
     } else {
-        sm.completed.inc(batch.size());
-        for (const JobResult &r : results) {
-            sm.queueMs.observe(r.queueMs);
-            sm.serviceMs.observe(r.serviceMs);
-            rec.record(obs::ServingEventKind::kComplete, r.jobId,
-                       r.tenant, batch.front().programFp,
-                       uint32_t(batch.size()), r.traceId);
-            slo_.recordJob(r.tenant, r.queueMs + r.serviceMs,
-                           policyFor(r.tenant).deadlineMs);
-        }
+        sm.completed.inc();
+        sm.queueMs.observe(result.queueMs);
+        sm.serviceMs.observe(result.serviceMs);
+        rec.record(obs::ServingEventKind::kComplete, job.id,
+                   job.req.tenant, job.programFp, 1, job.traceId);
+        slo_.recordJob(job.req.tenant,
+                       result.queueMs + result.serviceMs, deadlineMs);
     }
 
-    // Ordering invariant: every promise is fulfilled BEFORE inFlight_
-    // drops to zero. drain() returns when pending_ == inFlight_ == 0,
-    // and its contract is that every accepted future is ready by
-    // then; fulfilling after the decrement would let drain() (and
-    // the destructor behind it) race ahead of waiters' futures.
+    // Ordering invariant: the promise is fulfilled BEFORE inFlight_
+    // drops. drain() returns when pending_ == inFlight_ == 0, and its
+    // contract is that every accepted future is ready by then;
+    // fulfilling after the decrement would let drain() (and the
+    // destructor behind it) race ahead of waiters' futures.
+    if (error)
+        job.promise.set_exception(error);
+    else
+        job.promise.set_value(std::move(result));
     {
         std::lock_guard<std::mutex> lock(m_);
-        if (failed) {
-            stats_.failed += batch.size();
-        } else {
-            for (const JobResult &r : results) {
-                ++stats_.completed;
-                ++stats_.completedPerTenant[r.tenant];
-                stats_.encodingCacheHits += r.exec.encodingCacheHits;
-                stats_.encodingCacheMisses +=
-                    r.exec.encodingCacheMisses;
-            }
-        }
-    }
-    if (failed) {
-        for (Job &j : batch)
-            j.promise.set_exception(error);
-    } else {
-        for (size_t i = 0; i < batch.size(); ++i)
-            batch[i].promise.set_value(std::move(results[i]));
-    }
-    {
-        std::lock_guard<std::mutex> lock(m_);
-        inFlight_ -= batch.size();
+        anyFailed_ |= error != nullptr;
+        --inFlight_;
         if (pending_ == 0 && inFlight_ == 0)
             cvDrained_.notify_all();
     }
@@ -513,24 +414,25 @@ void
 ServingEngine::workerLoop()
 {
     for (;;) {
-        std::vector<Job> batch;
+        std::optional<Job> job;
         {
             std::unique_lock<std::mutex> lock(m_);
             cvWork_.wait(lock, [&] { return stop_ || pending_ > 0; });
             if (stop_ && pending_ == 0)
                 return;
-            if (!popBatch(batch))
+            job = popNext();
+            if (!job)
                 continue;
-            pending_ -= batch.size();
+            --pending_;
             depthNow_.store(pending_, std::memory_order_relaxed);
-            inFlight_ += batch.size();
+            ++inFlight_;
         }
 
         if (cfg_.inlineIntraOp) {
             InlineParallelScope inlineScope;
-            runBatch(batch);
+            runJob(*job);
         } else {
-            runBatch(batch);
+            runJob(*job);
         }
     }
 }
@@ -541,13 +443,6 @@ ServingEngine::drain()
     std::unique_lock<std::mutex> lock(m_);
     cvDrained_.wait(lock,
                     [&] { return pending_ == 0 && inFlight_ == 0; });
-}
-
-ServingStats
-ServingEngine::stats() const
-{
-    std::lock_guard<std::mutex> lock(m_);
-    return stats_;
 }
 
 } // namespace f1

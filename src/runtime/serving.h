@@ -4,7 +4,7 @@
  * accelerators and BASALISC identify as where deployments live —
  * scheduling many concurrent encrypted jobs, not just fast kernels.
  *
- * Jobs flow through a three-stage pipeline:
+ * Jobs flow through a two-stage pipeline:
  *
  *  1. ADMIT — submit() consults an AdmissionController, which reads
  *     the process-wide metrics registry (serving.jobs_* counters and
@@ -13,23 +13,14 @@
  *     configured limits. Admitted jobs enter their tenant's FIFO
  *     queue stamped with the tenant class's priority and deadline.
  *
- *  2. COALESCE — a dispatching worker picks the most urgent queued
- *     job (SchedulingPolicy::kDeadline: highest tenant priority, then
- *     earliest deadline; kRoundRobin preserves the historical
- *     per-tenant round-robin), then pulls up to maxBatch - 1 more
- *     queued jobs whose Program has the same content-addressed
- *     fingerprint — from any tenant, any queue position — into one
- *     batch. Identical-program jobs are the common serving case (many
- *     clients of one model), and fusing them shares one DAG
- *     traversal, one hint warming, and one scheduling pass.
- *
- *  3. EXECUTE — the batch runs through
- *     OpGraphExecutor::executeBatch, which executes each HeOp across
- *     every batch member before releasing operands; per-op overhead
- *     amortizes over the batch. In the default throughput mode each
- *     worker executes its batch single-threaded
- *     (InlineParallelScope), so concurrency comes from batch-level
- *     parallelism and batches never contend for the shared pool.
+ *  2. EXECUTE — a free worker takes the most urgent queued job
+ *     (highest tenant priority, then earliest deadline, then submit
+ *     order) and runs it alone through OpGraphExecutor::execute. In
+ *     the default throughput mode each worker executes its job
+ *     single-threaded (InlineParallelScope), so concurrency comes
+ *     from job-level parallelism and jobs never contend for the
+ *     shared pool. One job per traversal also means a job's bad
+ *     binding or failure reaches only that job's future and tenant.
  *
  * Caches: a shared LRU over plaintext encodings (content-addressed
  * for BOTH schemes, see EncodingKey) and the scheme's synchronized
@@ -37,15 +28,13 @@
  * re-keygen.
  *
  * Determinism: job outputs are a pure function of (program, inputs,
- * seed) — independent of worker count, queue interleaving, other
- * tenants' traffic, the scheduling policy, and whether the job ran
- * solo or fused into a batch (tests/test_runtime.cpp asserts
- * bit-identity against isolated execution for both schemes and both
- * policies).
+ * seed) — independent of worker count, queue interleaving, and other
+ * tenants' traffic (tests/test_runtime.cpp asserts bit-identity
+ * against isolated execution for both schemes).
  *
  * Introspection: every stage transition above is recorded into the
- * process-wide flight recorder (obs/eventlog.h — submit/admit/shed/
- * coalesce from the engine, dispatch/fail from the executor,
+ * process-wide flight recorder (obs/eventlog.h — submit/admit/shed
+ * from the engine, dispatch/fail from the executor,
  * complete/fail per job), each completed job feeds the engine's
  * per-tenant SloTracker (obs/slo.h — deadline attainment and
  * burn rate vs TenantPolicy::deadlineMs, published as slo.<tenant>.*
@@ -61,6 +50,7 @@
 #include <future>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -72,24 +62,13 @@
 
 namespace f1 {
 
-/** Dispatch order over queued jobs. */
-enum class SchedulingPolicy : uint8_t {
-    /** Tenant classes: highest priority first, earliest deadline
-     *  within a class (EDF), submit order as the final tie-break. */
-    kDeadline,
-    /** Historical compatibility mode: one job per tenant in
-     *  first-seen tenant order, FIFO within a tenant. Priorities and
-     *  deadlines still stamp JobResult but do not affect order. */
-    kRoundRobin,
-};
-
 /**
  * One tenant class's scheduling contract. Tenants not named in
  * ServingConfig::tenantPolicies get ServingConfig::defaultTenantPolicy.
  */
 struct TenantPolicy
 {
-    /** Dispatch priority under kDeadline; higher runs first. */
+    /** Dispatch priority; higher runs first. */
     int priority = 0;
 
     /** Soft deadline, milliseconds after submit. Orders dispatch
@@ -178,19 +157,6 @@ class AdmissionController
                     const TenantPolicy &tenant,
                     size_t tenantQueueDepth) const;
 
-    /** Name-free compatibility overloads (burn-rate check skipped). */
-    Decision
-    decide(const obs::MetricsSnapshot &snap, const TenantPolicy &tenant,
-           size_t tenantQueueDepth) const
-    {
-        return decide(snap, std::string(), tenant, tenantQueueDepth);
-    }
-    Decision
-    decide(const TenantPolicy &tenant, size_t tenantQueueDepth) const
-    {
-        return decide(std::string(), tenant, tenantQueueDepth);
-    }
-
     const AdmissionLimits &limits() const { return limits_; }
 
   private:
@@ -199,25 +165,18 @@ class AdmissionController
 
 struct ServingConfig
 {
-    /** Concurrent batch workers; 0 = configuredThreadCount(). */
+    /** Concurrent job workers; 0 = configuredThreadCount(). */
     unsigned workers = 0;
 
     /** Entries in the shared plaintext-encoding cache. */
     size_t encodingCacheCapacity = 1024;
 
     /**
-     * true (throughput mode): each worker runs its batch
-     * single-threaded. false (latency mode): batches use the shared
+     * true (throughput mode): each worker runs its job
+     * single-threaded. false (latency mode): jobs use the shared
      * pool for op/limb parallelism and contend with each other.
      */
     bool inlineIntraOp = true;
-
-    /** Dispatch order over queued jobs (stage 2 of the pipeline). */
-    SchedulingPolicy scheduling = SchedulingPolicy::kDeadline;
-
-    /** Identical-program jobs fused per execution (1 = no batching).
-     *  Fusion never changes job outputs, only amortizes overhead. */
-    size_t maxBatch = 8;
 
     /** Engine-wide admission limits (stage 1; 0s admit everything). */
     AdmissionLimits admission;
@@ -233,7 +192,7 @@ struct ServingConfig
 
     /**
      * When non-empty, the global flight recorder's JSON dump is
-     * written here on every failed batch and again at engine teardown
+     * written here on every failed job and again at engine teardown
      * if any job failed — the post-mortem artifact. Empty (default)
      * never touches the filesystem; /events.json and
      * FlightRecorder::global().dumpJson() stay available either way.
@@ -241,7 +200,7 @@ struct ServingConfig
     std::string eventDumpPath;
 
     /**
-     * Execution policy applied to every batch. The engine overrides
+     * Execution policy applied to every job. The engine overrides
      * encodingCache with its shared cache, and a job carrying its own
      * ScheduleHints (JobRequest::hints) overrides scheduleHints; the
      * other fields pass through as-is.
@@ -258,9 +217,8 @@ struct JobRequest
 
     /** Compiler schedule hints for this job's program (optional; must
      *  outlive the job's future). Overrides ServingConfig's policy
-     *  hints, which can only describe one program shape. When jobs
-     *  coalesce, the batch lead's hints drive the shared traversal —
-     *  hints affect scheduling order only, never output bits. */
+     *  hints, which can only describe one program shape. Hints
+     *  affect scheduling order only, never output bits. */
     const ScheduleHints *hints = nullptr;
 };
 
@@ -268,37 +226,24 @@ struct JobResult
 {
     uint64_t jobId = 0;
     std::string tenant;
-    ExecutionResult exec; //!< exec.batchSize tells how the job ran
+    ExecutionResult exec;
     double queueMs = 0;   //!< submit -> worker pickup
     double serviceMs = 0; //!< pickup -> completion (includes prepare)
 
     /** Correlation id allocated at submit (obs/tracectx.h): the same
      *  id stamps this job's flight-recorder lifecycle events, its
-     *  executor trace spans, and its ExecutionProfile::traceIds entry,
+     *  executor trace spans, and its ExecutionProfile::traceId,
      *  so one slow job can be followed across all three. */
     uint64_t traceId = 0;
 };
 
 /**
- * Per-engine counters. Deprecated as an aggregation point: the same
- * totals (fleet-wide, across engines) live in the metrics registry as
- * "serving.jobs_*" / "serving.shed_jobs" counters,
- * "serving.{queue,service}_ms" / "serving.batch_size" histograms, and
- * "serving.queue_depth{,_peak}" gauges — prefer
- * MetricsRegistry::global().snapshot().
+ * The engine's counts live in the metrics registry: "serving.jobs_*"
+ * and "serving.shed_jobs" counters, "serving.{queue,service}_ms"
+ * histograms, "serving.queue_depth{,_peak}" gauges, and the shared
+ * encoding cache's "cache.serving_encoding.*". "serving.batch_size"
+ * observes 1 per job; it stays only because the benchmark reads it.
  */
-struct ServingStats
-{
-    uint64_t submitted = 0;
-    uint64_t completed = 0;
-    uint64_t failed = 0;
-    uint64_t shed = 0;
-    size_t peakQueueDepth = 0;
-    uint64_t encodingCacheHits = 0;
-    uint64_t encodingCacheMisses = 0;
-    std::map<std::string, uint64_t> completedPerTenant;
-};
-
 class ServingEngine
 {
   public:
@@ -347,13 +292,6 @@ class ServingEngine
      *  /tenants.json source when an exporter is pointed at it. */
     const obs::SloTracker &slo() const { return slo_; }
 
-    /** Deprecated shim (see ServingStats): per-engine snapshot. */
-    ServingStats stats() const;
-
-    /** Deprecated shim: per-engine encoding-cache counters; the
-     *  registry aggregates them as "cache.serving_encoding.*". */
-    CacheStats encodingCacheStats() const { return encCache_.stats(); }
-
   private:
     struct Job
     {
@@ -361,7 +299,7 @@ class ServingEngine
         JobRequest req;
         std::promise<JobResult> promise;
         double submitMs = 0;
-        uint64_t programFp = 0;  //!< coalescing key
+        uint64_t programFp = 0;  //!< flight-recorder program key
         int priority = 0;        //!< tenant class, frozen at submit
         double deadlineAtMs = 0; //!< submitMs + class deadline
         uint64_t traceId = 0;    //!< correlation id (tracectx.h)
@@ -370,10 +308,10 @@ class ServingEngine
     void start();
     void workerLoop();
     const TenantPolicy &policyFor(const std::string &tenant) const;
-    //! Pops the dispatch head + same-fingerprint jobs; m_ held.
-    bool popBatch(std::vector<Job> &out);
-    //! One fused execution; fulfills every member's promise.
-    void runBatch(std::vector<Job> &batch);
+    //! Pops the most urgent queued job, if any; m_ held.
+    std::optional<Job> popNext();
+    //! Executes one job and fulfills its promise.
+    void runJob(Job &job);
 
     BgvScheme *bgv_ = nullptr;
     CkksScheme *ckks_ = nullptr;
@@ -394,11 +332,9 @@ class ServingEngine
     size_t pending_ = 0;  //!< queued, not yet picked up
     size_t inFlight_ = 0; //!< picked up, not yet completed
     std::map<std::string, std::deque<Job>> queues_;
-    std::vector<std::string> tenantOrder_; //!< first-seen order
-    size_t rrCursor_ = 0;
-    ServingStats stats_;
+    bool anyFailed_ = false; //!< a job failed (teardown dump)
 
-    //! Lock-free mirrors of pending_ / peakQueueDepth so the
+    //! Lock-free mirrors of pending_ and its peak so the
     //! queue-depth gauges never take m_ inside a registry snapshot.
     std::atomic<size_t> depthNow_{0};
     std::atomic<size_t> depthPeak_{0};

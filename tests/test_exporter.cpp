@@ -63,6 +63,15 @@ contains(const std::string &hay, const std::string &needle)
     return hay.find(needle) != std::string::npos;
 }
 
+/** A registry counter's current value (0 before first use). */
+uint64_t
+counterValue(const std::string &name)
+{
+    const auto snap = obs::MetricsRegistry::global().snapshot();
+    auto it = snap.counters.find(name);
+    return it == snap.counters.end() ? 0 : it->second;
+}
+
 //
 // Prometheus rendering (the pure core).
 //
@@ -301,13 +310,13 @@ TEST(AdmissionBurnRateTest, ShedsOnSloBurnRateMetric)
     EXPECT_TRUE(contains(hot.reason, "burn"));
     EXPECT_TRUE(contains(hot.reason, "slo.bob.burn_rate"));
 
-    // Below threshold, an unknown tenant, or a name-free decision
-    // (compat overload) all admit.
+    // Below threshold, an unknown tenant, or an empty tenant name
+    // (burn-rate check skipped) all admit.
     snap.counters["slo.bob.burn_rate"] = 1500;
     EXPECT_TRUE(ctl.decide(snap, "bob", tp, 0).admit);
     EXPECT_TRUE(ctl.decide(snap, "carol", tp, 0).admit);
     snap.counters["slo.bob.burn_rate"] = 5000;
-    EXPECT_TRUE(ctl.decide(snap, tp, 0).admit);
+    EXPECT_TRUE(ctl.decide(snap, "", tp, 0).admit);
 }
 
 //
@@ -351,7 +360,6 @@ TEST(ServingEngineSloTest, BurnRateFromMissedDeadlinesShedsTenant)
 
     // The next submit is shed BY the SLO metric, not by backlog.
     EXPECT_THROW(engine.submit(makeReq(2)), AdmissionRejected);
-    EXPECT_EQ(engine.stats().shed, 1u);
     EXPECT_EQ(reg.snapshot().counters.at("serving.shed_jobs"), 1u);
 
     // Other tenants are untouched: burn rates are per tenant.
@@ -360,7 +368,7 @@ TEST(ServingEngineSloTest, BurnRateFromMissedDeadlinesShedsTenant)
     ok.tenant = "slo_cold";
     ok.inputs.seed = 3;
     engine.submit(std::move(ok)).get();
-    EXPECT_EQ(engine.stats().completed, 2u);
+    EXPECT_EQ(counterValue("serving.jobs_completed"), 2u);
     reg.reset();
 }
 
@@ -422,13 +430,14 @@ TEST(FlightRecorderTest, FailedJobLeavesCausalSequence)
 
     // Complex-slot inputs under a BGV engine throw in prepare: the
     // job is admitted, dispatched, and dies inside the executor.
+    const uint64_t failed0 = counterValue("serving.jobs_failed");
     JobRequest req;
     req.program = &p;
     req.tenant = "doomed_tenant";
     req.inputs.bind(0, std::vector<std::complex<double>>(128));
     auto fut = engine.submit(std::move(req));
     EXPECT_THROW(fut.get(), FatalError);
-    EXPECT_EQ(engine.stats().failed, 1u);
+    EXPECT_EQ(counterValue("serving.jobs_failed") - failed0, 1u);
 
     // The global recorder holds the job's full lifecycle, in causal
     // order: submit -> admit -> (executor) dispatch+fail -> job fail.
@@ -633,7 +642,6 @@ TEST(ServingEngineSloTest, BurnRatePenaltyDeprioritizesDispatch)
 
     ServingConfig cfg;
     cfg.workers = 1;
-    cfg.maxBatch = 1; // no coalescing: dispatch order is visible
     // Penalty starts at half the shed threshold. An always-missed
     // deadline burns at 1/(1-0.99) = 100x, so with the threshold at
     // 150 the tenant is penalized (>= 75) but never shed (< 150).
@@ -696,7 +704,8 @@ TEST(ServingEngineSloTest, BurnRatePenaltyDeprioritizesDispatch)
     EXPECT_EQ(firstTenant, "pen_cold");
     EXPECT_GE(
         reg.snapshot().counters.at("serving.dispatch_penalties"), 1u);
-    EXPECT_EQ(engine.stats().shed, 0u); // penalized, never shed
+    // Penalized, never shed.
+    EXPECT_EQ(counterValue("serving.shed_jobs"), 0u);
     reg.reset();
 }
 

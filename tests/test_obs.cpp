@@ -262,27 +262,27 @@ TEST(TelemetryTest, StatsConsistentAcrossSchedulers)
     RuntimeInputs in;
     in.seed = 23;
 
-    for (auto kind :
-         {SchedulerKind::kSerial, SchedulerKind::kWavefront,
-          SchedulerKind::kWorkStealing}) {
-        ExecutionPolicy pol;
-        pol.scheduler = kind;
-        auto res = exec.execute(in, pol);
-        EXPECT_EQ(res.opsExecuted, nonSourceOps(p));
-        EXPECT_GE(res.maxWavefrontWidth, 1u);
-        EXPECT_GT(res.peakResidentCiphertexts, 0u);
-        if (kind == SchedulerKind::kSerial) {
-            EXPECT_EQ(res.wavefronts, res.opsExecuted);
-            EXPECT_EQ(res.maxWavefrontWidth, 1u);
-            EXPECT_EQ(res.steals, 0u);
-        } else if (kind == SchedulerKind::kWavefront) {
-            EXPECT_GT(res.wavefronts, 0u);
-            EXPECT_LT(res.wavefronts, res.opsExecuted);
-            EXPECT_EQ(res.steals, 0u);
-        } else {
-            EXPECT_EQ(res.wavefronts, 0u); // WS has no rounds
+    for (unsigned threads : {1u, 2u, 8u}) {
+        setGlobalThreadCount(threads);
+        for (auto kind :
+             {SchedulerKind::kSerial, SchedulerKind::kWorkStealing}) {
+            ExecutionPolicy pol;
+            pol.scheduler = kind;
+            auto res = exec.execute(in, pol);
+            EXPECT_EQ(res.opsExecuted, nonSourceOps(p));
+            EXPECT_GT(res.peakResidentCiphertexts, 0u);
+            EXPECT_EQ(res.batchSize, 1u);
+            if (kind == SchedulerKind::kSerial) {
+                EXPECT_EQ(res.peakOpsInFlight, 1u);
+                EXPECT_EQ(res.steals, 0u);
+            } else {
+                EXPECT_GE(res.peakOpsInFlight, 1u);
+                EXPECT_LE(res.peakOpsInFlight, threads);
+                EXPECT_LE(res.steals, res.opsExecuted);
+            }
         }
     }
+    setGlobalThreadCount(0);
 }
 
 TEST(TelemetryTest, ProfileCountsHotPathWork)
@@ -371,9 +371,8 @@ TEST(TelemetryTest, ProfileCountersBitStableAcrossSchedulers)
     auto ref = profiled(SchedulerKind::kSerial, 1);
     ASSERT_NE(ref, nullptr);
     for (auto kind :
-         {SchedulerKind::kSerial, SchedulerKind::kWavefront,
-          SchedulerKind::kWorkStealing}) {
-        for (unsigned threads : {1u, 4u}) {
+         {SchedulerKind::kSerial, SchedulerKind::kWorkStealing}) {
+        for (unsigned threads : {1u, 2u, 8u}) {
             auto prof = profiled(kind, threads);
             ASSERT_NE(prof, nullptr);
             // Hot-path work is a function of the program alone —
@@ -547,7 +546,6 @@ TEST(CorrelationTest, ServingCorrelationEndToEnd)
 
     ServingConfig cfg;
     cfg.workers = 2;
-    cfg.maxBatch = 4;
     cfg.policy.telemetry.profile = true;
     cfg.policy.telemetry.trace = true;
     ServingEngine engine(&bgv, cfg);
@@ -592,17 +590,10 @@ TEST(CorrelationTest, ServingCorrelationEndToEnd)
         EXPECT_GT(spans, 0u) << "job " << r.jobId;
 
         ASSERT_NE(r.exec.profile, nullptr);
-        bool inProfile = false;
-        for (uint64_t id : r.exec.profile->traceIds)
-            inProfile |= id == r.traceId;
-        EXPECT_TRUE(inProfile) << "job " << r.jobId;
-
-        // Coalesced members share one trace; dedupe by identity.
-        bool seen = false;
-        for (const auto &t : traces)
-            seen |= t == r.exec.trace;
-        if (!seen)
-            traces.push_back(r.exec.trace);
+        EXPECT_EQ(r.exec.profile->traceId, r.traceId)
+            << "job " << r.jobId;
+        EXPECT_EQ(r.exec.profile->label, r.tenant);
+        traces.push_back(r.exec.trace);
     }
     EXPECT_EQ(ids.size(), results.size()); // pairwise distinct
 
@@ -800,7 +791,6 @@ TEST(CorrelationTest, ConcurrentScrapeStress)
 
     ServingConfig cfg;
     cfg.workers = 2;
-    cfg.maxBatch = 4;
     cfg.policy.telemetry.trace = true;
     cfg.policy.scheduleHints = &hints;
     ServingEngine engine(&bgv, cfg);

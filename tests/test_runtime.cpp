@@ -1,15 +1,14 @@
 /**
  * @file
- * Serving-runtime tests: the LRU cache, the DAG executor under all
- * three ExecutionPolicy schedulers (bit-identity of work-stealing
- * against serial and wavefront order across thread counts and with
- * compiler schedule hints, liveness-based release, cycle rejection,
- * deprecated-shim compatibility), batched execution (executeBatch
- * bit-identity against solo runs for BGV and CKKS, shared encoding
- * cache accounting), and the multi-tenant serving pipeline (admission
- * control driven by the metrics registry, coalesced batches matching
- * isolated execution under both scheduling policies and across worker
- * counts, queue-depth gauges, shutdown under load).
+ * Serving-runtime tests: the LRU cache, the DAG executor under both
+ * ExecutionPolicy schedulers (bit-identity of work stealing against
+ * the serial order across thread counts and with compiler schedule
+ * hints, liveness-based release, cycle rejection), encoding-cache
+ * sharing across runs, and the multi-tenant serving pipeline
+ * (admission control driven by the metrics registry, served jobs
+ * matching isolated execution across worker counts, one tenant's bad
+ * job failing only that job, queue-depth gauges, shutdown under
+ * load).
  */
 #include <gtest/gtest.h>
 
@@ -22,7 +21,6 @@
 #include "obs/metrics.h"
 #include "runtime/op_graph_executor.h"
 #include "runtime/serving.h"
-#include "sim/reference_executor.h"
 
 namespace f1 {
 namespace {
@@ -176,48 +174,6 @@ expectIdenticalOutputs(const ExecutionResult &a,
     }
 }
 
-TEST(OpGraphExecutorTest, WavefrontMatchesSerialBgv)
-{
-    FheContext ctx(smallParams());
-    BgvScheme bgv(&ctx);
-    Program p = diamondProgram();
-
-    OpGraphExecutor serial(p, &bgv);
-    serial.setDispatchMode(DispatchMode::kSerial);
-    OpGraphExecutor wave(p, &bgv);
-
-    RuntimeInputs in;
-    in.seed = 11;
-    auto rs = serial.run(in);
-    auto rw = wave.run(in);
-    expectIdenticalOutputs(rs, rw);
-    EXPECT_GT(rw.maxWavefrontWidth, 1u); // branches actually overlap
-    EXPECT_LT(rw.wavefronts, p.ops().size());
-}
-
-TEST(OpGraphExecutorTest, WavefrontMatchesSerialCkks)
-{
-    FheContext ctx(smallParams());
-    CkksScheme ckks(&ctx);
-    Program p(256, 8, "ckks-diamond");
-    int x = p.input();
-    int y = p.input();
-    int a = p.mul(x, y);
-    int r = p.modSwitch(a); // rescale
-    int b = p.rotate(r, 1);
-    int c = p.add(b, r);
-    p.output(c);
-    p.output(b);
-
-    OpGraphExecutor serial(p, &ckks);
-    serial.setDispatchMode(DispatchMode::kSerial);
-    OpGraphExecutor wave(p, &ckks);
-
-    RuntimeInputs in;
-    in.seed = 13;
-    expectIdenticalOutputs(serial.run(in), wave.run(in));
-}
-
 TEST(OpGraphExecutorTest, BitIdenticalAcrossThreadCounts)
 {
     FheContext ctx(smallParams());
@@ -228,10 +184,10 @@ TEST(OpGraphExecutorTest, BitIdenticalAcrossThreadCounts)
     in.seed = 17;
 
     setGlobalThreadCount(1);
-    auto serial = exec.run(in);
+    auto serial = exec.execute(in);
     for (unsigned threads : {2u, 4u}) {
         setGlobalThreadCount(threads);
-        auto threaded = exec.run(in);
+        auto threaded = exec.execute(in);
         expectIdenticalOutputs(serial, threaded);
     }
     setGlobalThreadCount(0);
@@ -245,8 +201,8 @@ TEST(OpGraphExecutorTest, RepeatedRunsAreIdentical)
     OpGraphExecutor exec(p, &bgv);
     RuntimeInputs in;
     in.seed = 19;
-    auto first = exec.run(in);
-    auto second = exec.run(in);
+    auto first = exec.execute(in);
+    auto second = exec.execute(in);
     expectIdenticalOutputs(first, second);
 }
 
@@ -259,7 +215,7 @@ TEST(OpGraphExecutorTest, LivenessReleasesDeadCiphertexts)
 
     RuntimeInputs in;
     in.bind(0, std::vector<uint64_t>(256, 1));
-    auto res = exec.run(in);
+    auto res = exec.execute(in);
 
     // Chain: input + current accumulator + freshly produced op. The
     // pre-liveness executor held all 13 intermediates to the end.
@@ -270,34 +226,15 @@ TEST(OpGraphExecutorTest, LivenessReleasesDeadCiphertexts)
     EXPECT_EQ(slots[0], 13u); // 1 + 12 additions of 1
 }
 
-TEST(OpGraphExecutorTest, ReferenceExecutorWrapper)
-{
-    FheContext ctx(smallParams());
-    BgvScheme bgv(&ctx);
-    Program p = diamondProgram();
-    ReferenceExecutor ref(p, &bgv);
-    auto res = ref.run();
-    EXPECT_EQ(res.outputs.size(), 2u);
-    EXPECT_GT(res.peakResidentCiphertexts, 0u);
-    // The default policy is work-stealing, which has no rounds.
-    EXPECT_EQ(res.wavefronts, 0u);
-
-    ReferenceExecutor wave(p, &bgv);
-    wave.setDispatchMode(DispatchMode::kWavefront);
-    auto rw = wave.run();
-    EXPECT_GT(rw.wavefronts, 0u);
-    expectIdenticalOutputs(res, rw);
-}
-
 TEST(OpGraphExecutorTest, HintCacheHitsOnRepeatedPrograms)
 {
     FheContext ctx(smallParams());
     BgvScheme bgv(&ctx);
     Program p = diamondProgram();
     OpGraphExecutor exec(p, &bgv);
-    exec.run();
+    exec.execute();
     const auto cold = bgv.hintCacheStats();
-    exec.run();
+    exec.execute();
     const auto warm = bgv.hintCacheStats();
     EXPECT_GT(warm.hits, cold.hits);
     EXPECT_EQ(warm.misses, cold.misses); // nothing regenerated
@@ -313,8 +250,8 @@ TEST(OpGraphExecutorTest, CappedHintCacheStaysCorrect)
 
     RuntimeInputs in;
     in.seed = 23;
-    auto a = OpGraphExecutor(p, &reference).run(in);
-    auto b = OpGraphExecutor(p, &capped).run(in);
+    auto a = OpGraphExecutor(p, &reference).execute(in);
+    auto b = OpGraphExecutor(p, &capped).execute(in);
     expectIdenticalOutputs(a, b);
     EXPECT_GT(capped.hintCacheStats().evictions, 0u);
 }
@@ -332,7 +269,7 @@ policyFor(SchedulerKind k, const ScheduleHints *hints = nullptr)
     return pol;
 }
 
-TEST(OpGraphExecutorTest, WorkStealingMatchesSerialAndWavefrontBgv)
+TEST(OpGraphExecutorTest, WorkStealingMatchesSerialBgv)
 {
     FheContext ctx(smallParams());
     BgvScheme bgv(&ctx);
@@ -345,14 +282,14 @@ TEST(OpGraphExecutorTest, WorkStealingMatchesSerialAndWavefrontBgv)
     in.seed = 29;
     const auto serial =
         exec.execute(in, policyFor(SchedulerKind::kSerial));
+    EXPECT_EQ(serial.peakOpsInFlight, 1u);
     for (unsigned threads : {1u, 2u, 8u}) {
         setGlobalThreadCount(threads);
-        expectIdenticalOutputs(
-            serial, exec.execute(in, policyFor(SchedulerKind::kWavefront,
-                                               &hints)));
-        expectIdenticalOutputs(
-            serial,
-            exec.execute(in, policyFor(SchedulerKind::kWorkStealing)));
+        const auto ws =
+            exec.execute(in, policyFor(SchedulerKind::kWorkStealing));
+        expectIdenticalOutputs(serial, ws);
+        EXPECT_GE(ws.peakOpsInFlight, 1u);
+        EXPECT_LE(ws.peakOpsInFlight, threads);
         expectIdenticalOutputs(
             serial,
             exec.execute(in, policyFor(SchedulerKind::kWorkStealing,
@@ -368,10 +305,14 @@ TEST(OpGraphExecutorTest, WorkStealingMatchesSerialCkks)
     Program p(256, 8, "ckks-ws");
     int x = p.input();
     int y = p.input();
+    int w = p.inputPlain();
     int a = p.mul(x, y);
-    int r = p.modSwitch(a);
+    int r = p.modSwitch(a); // rescale
     int b = p.rotate(r, 1);
     p.output(p.add(b, r));
+    p.output(b);
+    // Two independent ops encode w, concurrently under work stealing.
+    p.output(p.add(p.mulPlain(x, w), p.mulPlain(y, w)));
 
     OpGraphExecutor exec(p, &ckks);
     RuntimeInputs in;
@@ -380,9 +321,12 @@ TEST(OpGraphExecutorTest, WorkStealingMatchesSerialCkks)
         exec.execute(in, policyFor(SchedulerKind::kSerial));
     for (unsigned threads : {1u, 2u, 8u}) {
         setGlobalThreadCount(threads);
-        expectIdenticalOutputs(
-            serial,
-            exec.execute(in, policyFor(SchedulerKind::kWorkStealing)));
+        EncodingCache cache(8, "");
+        ExecutionPolicy ws = policyFor(SchedulerKind::kWorkStealing);
+        ws.encodingCache = &cache;
+        const auto res = exec.execute(in, ws);
+        expectIdenticalOutputs(serial, res);
+        EXPECT_EQ(res.encodingCacheHits + res.encodingCacheMisses, 2u);
     }
     setGlobalThreadCount(0);
 }
@@ -491,28 +435,6 @@ TEST(OpGraphExecutorTest, ForwardReferencesExecuteInTopoOrder)
               ctBits(rr.outputs.begin()->second));
 }
 
-TEST(OpGraphExecutorTest, DeprecatedShimsMatchPolicyEntryPoint)
-{
-    FheContext ctx(smallParams());
-    BgvScheme bgv(&ctx);
-    Program p = diamondProgram();
-    RuntimeInputs in;
-    in.seed = 47;
-
-    // Default shim policy is the historical wavefront dispatch.
-    OpGraphExecutor viaShim(p, &bgv);
-    EXPECT_EQ(viaShim.dispatchMode(), SchedulerKind::kWavefront);
-    OpGraphExecutor viaPolicy(p, &bgv);
-    expectIdenticalOutputs(
-        viaShim.run(in),
-        viaPolicy.execute(in, policyFor(SchedulerKind::kWavefront)));
-
-    viaShim.setDispatchMode(DispatchMode::kSerial);
-    expectIdenticalOutputs(
-        viaShim.run(in),
-        viaPolicy.execute(in, policyFor(SchedulerKind::kSerial)));
-}
-
 TEST(OpGraphExecutorTest, MismatchedBindingSchemeThrows)
 {
     FheContext ctx(smallParams());
@@ -543,6 +465,26 @@ TEST(OpGraphExecutorTest, HintSizeMismatchThrows)
 // Serving engine
 //
 
+/** A registry counter's current value (0 before first use). The
+ *  engine's counts live only in the process-wide registry, so tests
+ *  read them as deltas around what they submit. */
+uint64_t
+counterNow(const std::string &name)
+{
+    const auto snap = obs::MetricsRegistry::global().snapshot();
+    auto it = snap.counters.find(name);
+    return it == snap.counters.end() ? 0 : it->second;
+}
+
+obs::HistogramSnapshot
+histogramNow(const std::string &name)
+{
+    const auto snap = obs::MetricsRegistry::global().snapshot();
+    auto it = snap.histograms.find(name);
+    return it == snap.histograms.end() ? obs::HistogramSnapshot{}
+                                       : it->second;
+}
+
 TEST(ServingEngineTest, JobsMatchIsolatedExecutionAndRepeat)
 {
     FheContext ctx(smallParams());
@@ -571,13 +513,19 @@ TEST(ServingEngineTest, JobsMatchIsolatedExecutionAndRepeat)
     for (size_t i = 0; i < kJobs; ++i) {
         JobRequest req = makeRequest(i);
         OpGraphExecutor exec(*req.program, &bgv);
-        isolated.push_back(exec.run(req.inputs));
+        isolated.push_back(exec.execute(req.inputs));
     }
 
     for (int round = 0; round < 2; ++round) {
         ServingConfig cfg;
         cfg.workers = 4;
         ServingEngine engine(&bgv, cfg);
+        const uint64_t submitted0 = counterNow("serving.jobs_submitted");
+        const uint64_t completed0 = counterNow("serving.jobs_completed");
+        const uint64_t failed0 = counterNow("serving.jobs_failed");
+        const uint64_t hits0 = counterNow("cache.serving_encoding.hits");
+        const uint64_t misses0 =
+            counterNow("cache.serving_encoding.misses");
         std::vector<std::future<JobResult>> futs;
         for (size_t i = 0; i < kJobs; ++i)
             futs.push_back(engine.submit(makeRequest(i)));
@@ -588,15 +536,18 @@ TEST(ServingEngineTest, JobsMatchIsolatedExecutionAndRepeat)
             expectIdenticalOutputs(isolated[i], r.exec);
         }
 
-        auto stats = engine.stats();
-        EXPECT_EQ(stats.submitted, kJobs);
-        EXPECT_EQ(stats.completed, kJobs);
-        EXPECT_EQ(stats.failed, 0u);
+        EXPECT_EQ(counterNow("serving.jobs_submitted") - submitted0,
+                  kJobs);
+        EXPECT_EQ(counterNow("serving.jobs_completed") - completed0,
+                  kJobs);
+        EXPECT_EQ(counterNow("serving.jobs_failed") - failed0, 0u);
+        const auto slo = engine.slo().snapshot();
         for (const auto &t : tenants)
-            EXPECT_EQ(stats.completedPerTenant.at(t), kJobs / 3);
+            EXPECT_EQ(slo.at(t).windowTotal, kJobs / 3);
         // 6 diamond jobs share one weight vector: 1 miss, 5 hits.
-        EXPECT_GT(stats.encodingCacheHits, 0u);
-        EXPECT_GE(stats.encodingCacheMisses, 1u);
+        EXPECT_GT(counterNow("cache.serving_encoding.hits") - hits0, 0u);
+        EXPECT_GE(counterNow("cache.serving_encoding.misses") - misses0,
+                  1u);
     }
 }
 
@@ -612,6 +563,7 @@ TEST(ServingEngineTest, CkksJobsAndDrain)
     ServingConfig cfg;
     cfg.workers = 2;
     ServingEngine engine(&ckks, cfg);
+    const uint64_t completed0 = counterNow("serving.jobs_completed");
     std::vector<std::future<JobResult>> futs;
     for (size_t i = 0; i < 6; ++i) {
         JobRequest req;
@@ -621,7 +573,7 @@ TEST(ServingEngineTest, CkksJobsAndDrain)
         futs.push_back(engine.submit(std::move(req)));
     }
     engine.drain();
-    EXPECT_EQ(engine.stats().completed, 6u);
+    EXPECT_EQ(counterNow("serving.jobs_completed") - completed0, 6u);
 
     // Determinism with concurrency in flight: same seed, same bits.
     auto r0 = futs[0].get();
@@ -674,7 +626,7 @@ TEST(ServingEngineTest, RejectsJobWithoutProgram)
 }
 
 //
-// Program fingerprinting (the coalescer's batching key)
+// Program fingerprinting (the flight recorder's program key)
 //
 
 TEST(ProgramFingerprintTest, ContentAddressedNameIndependent)
@@ -697,76 +649,10 @@ TEST(ProgramFingerprintTest, ContentAddressedNameIndependent)
 }
 
 //
-// Batched execution (executeBatch)
+// Encoding cache shared across runs
 //
 
-TEST(OpGraphExecutorTest, ExecuteBatchMatchesSoloBgv)
-{
-    FheContext ctx(smallParams());
-    BgvScheme bgv(&ctx);
-    Program p = diamondProgram();
-    OpGraphExecutor exec(p, &bgv);
-
-    constexpr size_t kBatch = 5;
-    std::vector<RuntimeInputs> ins(kBatch);
-    for (size_t i = 0; i < kBatch; ++i)
-        ins[i].seed = 300 + i;
-
-    for (SchedulerKind s :
-         {SchedulerKind::kSerial, SchedulerKind::kWavefront,
-          SchedulerKind::kWorkStealing}) {
-        ExecutionPolicy pol;
-        pol.scheduler = s;
-        auto batch = exec.executeBatch(ins, pol);
-        ASSERT_EQ(batch.size(), kBatch);
-        for (size_t i = 0; i < kBatch; ++i) {
-            auto solo = exec.execute(ins[i], pol);
-            expectIdenticalOutputs(solo, batch[i]);
-            EXPECT_EQ(batch[i].batchSize, kBatch);
-            EXPECT_EQ(solo.batchSize, 1u);
-            EXPECT_EQ(batch[i].opsExecuted, solo.opsExecuted);
-            // Resident-ciphertext accounting is per member, so the
-            // deterministic scheduler reports exactly the solo peak.
-            if (s == SchedulerKind::kSerial)
-                EXPECT_EQ(batch[i].peakResidentCiphertexts,
-                          solo.peakResidentCiphertexts);
-        }
-    }
-}
-
-TEST(OpGraphExecutorTest, ExecuteBatchMatchesSoloCkks)
-{
-    FheContext ctx(smallParams());
-    CkksScheme ckks(&ctx);
-    Program p(256, 8, "ckks-batch");
-    int x = p.input();
-    int w = p.inputPlain();
-    int v = p.inputPlain();
-    int a = p.mulPlain(x, w);
-    int r = p.modSwitch(a); // rescale
-    int s = p.addPlain(r, v);
-    int b = p.rotate(s, 1);
-    p.output(p.add(b, s));
-    OpGraphExecutor exec(p, &ckks);
-
-    constexpr size_t kBatch = 4;
-    std::vector<RuntimeInputs> ins(kBatch);
-    for (size_t i = 0; i < kBatch; ++i)
-        ins[i].seed = 700 + i;
-
-    for (SchedulerKind sched :
-         {SchedulerKind::kSerial, SchedulerKind::kWorkStealing}) {
-        ExecutionPolicy pol;
-        pol.scheduler = sched;
-        auto batch = exec.executeBatch(ins, pol);
-        ASSERT_EQ(batch.size(), kBatch);
-        for (size_t i = 0; i < kBatch; ++i)
-            expectIdenticalOutputs(exec.execute(ins[i], pol),
-                                   batch[i]);
-    }
-}
-
-TEST(OpGraphExecutorTest, ExecuteBatchSharesCkksEncodingCache)
+TEST(OpGraphExecutorTest, SequentialRunsShareCkksEncodingCache)
 {
     FheContext ctx(smallParams());
     CkksScheme ckks(&ctx);
@@ -779,16 +665,16 @@ TEST(OpGraphExecutorTest, ExecuteBatchSharesCkksEncodingCache)
     p.output(p.addPlain(r, v)); // encodes v at (r.scale, L-1)
     OpGraphExecutor exec(p, &ckks);
 
-    // All members bind the SAME weights (the shared-model serving
-    // case) but encrypt different inputs.
+    // All runs bind the SAME weights (the shared-model serving case)
+    // but encrypt different inputs.
     std::vector<std::complex<double>> weights(128), bias(128);
     for (size_t i = 0; i < 128; ++i) {
         weights[i] = {0.25 + 0.001 * double(i), 0.0};
         bias[i] = {-0.5 + 0.002 * double(i), 0.0};
     }
-    constexpr size_t kBatch = 4;
-    std::vector<RuntimeInputs> ins(kBatch);
-    for (size_t i = 0; i < kBatch; ++i) {
+    constexpr size_t kRuns = 4;
+    std::vector<RuntimeInputs> ins(kRuns);
+    for (size_t i = 0; i < kRuns; ++i) {
         ins[i].seed = 900 + i;
         ins[i].bind(w, weights);
         ins[i].bind(v, bias);
@@ -796,25 +682,26 @@ TEST(OpGraphExecutorTest, ExecuteBatchSharesCkksEncodingCache)
 
     EncodingCache cache(64, "");
     ExecutionPolicy pol;
-    pol.scheduler = SchedulerKind::kSerial; // deterministic hit order
+    pol.scheduler = SchedulerKind::kSerial;
     pol.encodingCache = &cache;
-    auto batch = exec.executeBatch(ins, pol);
+    std::vector<ExecutionResult> runs;
+    for (const RuntimeInputs &in : ins)
+        runs.push_back(exec.execute(in, pol));
 
-    // Two distinct (data, scale, level) keys; member 0 misses both,
-    // every later member hits both.
-    EXPECT_EQ(batch[0].encodingCacheMisses, 2u);
-    EXPECT_EQ(batch[0].encodingCacheHits, 0u);
-    for (size_t i = 1; i < kBatch; ++i) {
-        EXPECT_EQ(batch[i].encodingCacheMisses, 0u);
-        EXPECT_EQ(batch[i].encodingCacheHits, 2u);
+    // Two distinct (data, scale, level) keys; the first run misses
+    // both, every later run hits both.
+    EXPECT_EQ(runs[0].encodingCacheMisses, 2u);
+    EXPECT_EQ(runs[0].encodingCacheHits, 0u);
+    for (size_t i = 1; i < kRuns; ++i) {
+        EXPECT_EQ(runs[i].encodingCacheMisses, 0u);
+        EXPECT_EQ(runs[i].encodingCacheHits, 2u);
     }
 
-    // Cached encodings are bit-identical to uncached solo runs.
+    // Cached encodings are bit-identical to uncached runs.
     ExecutionPolicy noCache;
     noCache.scheduler = SchedulerKind::kSerial;
-    for (size_t i = 0; i < kBatch; ++i)
-        expectIdenticalOutputs(exec.execute(ins[i], noCache),
-                               batch[i]);
+    for (size_t i = 0; i < kRuns; ++i)
+        expectIdenticalOutputs(exec.execute(ins[i], noCache), runs[i]);
 }
 
 //
@@ -832,37 +719,38 @@ TEST(AdmissionControllerTest, DecidesFromRegistrySnapshot)
 
     // Stage registry state below the cap: admit.
     reg.counter("serving.jobs_submitted").inc(9);
-    EXPECT_TRUE(ctl.decide(tp, 0).admit);
+    EXPECT_TRUE(ctl.decide("", tp, 0).admit);
 
     // Stage a backlog exactly at the cap: shed, naming the counters.
     reg.counter("serving.jobs_submitted").inc(21); // 30 submitted
     reg.counter("serving.jobs_completed").inc(15);
     reg.counter("serving.jobs_failed").inc(5); // backlog = 10
-    auto d = ctl.decide(tp, 0);
+    auto d = ctl.decide("", tp, 0);
     EXPECT_FALSE(d.admit);
     EXPECT_NE(d.reason.find("backlog"), std::string::npos);
 
     // Completions observed through the registry re-open admission —
     // the controller tracks the registry, not its own counters.
     reg.counter("serving.jobs_completed").inc(1); // backlog = 9
-    EXPECT_TRUE(ctl.decide(tp, 0).admit);
+    EXPECT_TRUE(ctl.decide("", tp, 0).admit);
 
     // Latency shedding reads the serving.queue_ms histogram's p95.
     AdmissionLimits lat;
     lat.maxQueueP95Ms = 5;
     AdmissionController latCtl(lat);
-    EXPECT_TRUE(latCtl.decide(tp, 0).admit); // no observations yet
+    EXPECT_TRUE(latCtl.decide("", tp, 0).admit); // no observations yet
     for (int i = 0; i < 100; ++i)
         reg.histogram("serving.queue_ms").observe(50.0);
-    auto dl = latCtl.decide(tp, 0);
+    auto dl = latCtl.decide("", tp, 0);
     EXPECT_FALSE(dl.admit);
     EXPECT_NE(dl.reason.find("p95"), std::string::npos);
 
     // Per-tenant depth cap, from an explicit (empty) snapshot.
     TenantPolicy capped;
     capped.maxQueueDepth = 2;
-    EXPECT_TRUE(ctl.decide(obs::MetricsSnapshot{}, capped, 1).admit);
-    EXPECT_FALSE(ctl.decide(obs::MetricsSnapshot{}, capped, 2).admit);
+    EXPECT_TRUE(ctl.decide(obs::MetricsSnapshot{}, "", capped, 1).admit);
+    EXPECT_FALSE(
+        ctl.decide(obs::MetricsSnapshot{}, "", capped, 2).admit);
     reg.reset();
 }
 
@@ -886,8 +774,8 @@ TEST(ServingEngineTest, ShedsWhenRegistryBacklogOverLimit)
     EXPECT_THROW(engine.submit(std::move(req)), AdmissionRejected);
     auto snap = reg.snapshot();
     EXPECT_EQ(snap.counters.at("serving.shed_jobs"), 1u);
-    EXPECT_EQ(engine.stats().shed, 1u);
-    EXPECT_EQ(engine.stats().submitted, 0u);
+    // Only the staged submissions: the shed job was never enqueued.
+    EXPECT_EQ(snap.counters.at("serving.jobs_submitted"), 50u);
 
     // Completions drain the staged backlog: the engine admits again.
     reg.counter("serving.jobs_completed").inc(50);
@@ -895,7 +783,7 @@ TEST(ServingEngineTest, ShedsWhenRegistryBacklogOverLimit)
     ok.program = &p;
     ok.inputs.seed = 3;
     engine.submit(std::move(ok)).get();
-    EXPECT_EQ(engine.stats().completed, 1u);
+    EXPECT_EQ(counterNow("serving.jobs_completed"), 51u);
     reg.reset();
 }
 
@@ -920,14 +808,13 @@ TEST(ServingEngineTest, QueueDepthGaugesInRegistry)
     auto snap = obs::MetricsRegistry::global().snapshot();
     EXPECT_EQ(snap.counters.at("serving.queue_depth"), 0u);
     EXPECT_GE(snap.counters.at("serving.queue_depth_peak"), 1u);
-    EXPECT_EQ(snap.counters.at("serving.queue_depth_peak"),
-              engine.stats().peakQueueDepth);
+    EXPECT_LE(snap.counters.at("serving.queue_depth_peak"), 6u);
     for (auto &f : futs)
         f.get();
 }
 
 //
-// Batched serving pipeline
+// Served jobs against solo execution
 //
 
 /** Long mul chain: keeps a worker busy long enough for submits to
@@ -944,7 +831,7 @@ heavyProgram(int muls)
     return p;
 }
 
-TEST(ServingEngineTest, BatchedMatchesSoloAcrossPoliciesBgv)
+TEST(ServingEngineTest, ServedMatchesSoloAcrossWorkersBgv)
 {
     FheContext ctx(smallParams());
     BgvScheme bgv(&ctx);
@@ -959,34 +846,29 @@ TEST(ServingEngineTest, BatchedMatchesSoloAcrossPoliciesBgv)
         isolated.push_back(exec.execute(in));
     }
 
-    for (SchedulingPolicy policy :
-         {SchedulingPolicy::kRoundRobin, SchedulingPolicy::kDeadline})
-        for (unsigned workers : {1u, 4u}) {
-            ServingConfig cfg;
-            cfg.workers = workers;
-            cfg.scheduling = policy;
-            cfg.maxBatch = 8;
-            cfg.tenantPolicies["gold"] = {2, 20.0, 0};
-            cfg.tenantPolicies["bulk"] = {0, 500.0, 0};
-            ServingEngine engine(&bgv, cfg);
-            std::vector<std::future<JobResult>> futs;
-            for (size_t i = 0; i < kJobs; ++i) {
-                JobRequest req;
-                req.program = &p;
-                req.tenant = i % 2 ? "gold" : "bulk";
-                req.inputs.seed = 1000 + i;
-                futs.push_back(engine.submit(std::move(req)));
-            }
-            for (size_t i = 0; i < kJobs; ++i) {
-                JobResult r = futs[i].get();
-                expectIdenticalOutputs(isolated[i], r.exec);
-                EXPECT_GE(r.exec.batchSize, 1u);
-                EXPECT_LE(r.exec.batchSize, 8u);
-            }
+    for (unsigned workers : {1u, 2u, 4u}) {
+        ServingConfig cfg;
+        cfg.workers = workers;
+        cfg.tenantPolicies["gold"] = {2, 20.0, 0};
+        cfg.tenantPolicies["bulk"] = {0, 500.0, 0};
+        ServingEngine engine(&bgv, cfg);
+        std::vector<std::future<JobResult>> futs;
+        for (size_t i = 0; i < kJobs; ++i) {
+            JobRequest req;
+            req.program = &p;
+            req.tenant = i % 2 ? "gold" : "bulk";
+            req.inputs.seed = 1000 + i;
+            futs.push_back(engine.submit(std::move(req)));
         }
+        for (size_t i = 0; i < kJobs; ++i) {
+            JobResult r = futs[i].get();
+            expectIdenticalOutputs(isolated[i], r.exec);
+            EXPECT_EQ(r.exec.batchSize, 1u);
+        }
+    }
 }
 
-TEST(ServingEngineTest, BatchedMatchesSoloAcrossPoliciesCkks)
+TEST(ServingEngineTest, ServedMatchesSoloAcrossWorkersCkks)
 {
     FheContext ctx(smallParams());
     CkksScheme ckks(&ctx);
@@ -1011,29 +893,90 @@ TEST(ServingEngineTest, BatchedMatchesSoloAcrossPoliciesCkks)
         isolated.push_back(exec.execute(in));
     }
 
-    for (SchedulingPolicy policy :
-         {SchedulingPolicy::kRoundRobin, SchedulingPolicy::kDeadline})
-        for (unsigned workers : {1u, 4u}) {
-            ServingConfig cfg;
-            cfg.workers = workers;
-            cfg.scheduling = policy;
-            ServingEngine engine(&ckks, cfg);
-            std::vector<std::future<JobResult>> futs;
-            for (size_t i = 0; i < kJobs; ++i) {
-                JobRequest req;
-                req.program = &p;
-                req.tenant = i % 2 ? "even" : "odd";
-                req.inputs.seed = 2000 + i;
-                req.inputs.bind(w, weights);
-                futs.push_back(engine.submit(std::move(req)));
-            }
-            for (size_t i = 0; i < kJobs; ++i)
-                expectIdenticalOutputs(isolated[i],
-                                       futs[i].get().exec);
+    for (unsigned workers : {1u, 2u, 4u}) {
+        ServingConfig cfg;
+        cfg.workers = workers;
+        ServingEngine engine(&ckks, cfg);
+        std::vector<std::future<JobResult>> futs;
+        for (size_t i = 0; i < kJobs; ++i) {
+            JobRequest req;
+            req.program = &p;
+            req.tenant = i % 2 ? "even" : "odd";
+            req.inputs.seed = 2000 + i;
+            req.inputs.bind(w, weights);
+            futs.push_back(engine.submit(std::move(req)));
         }
+        for (size_t i = 0; i < kJobs; ++i)
+            expectIdenticalOutputs(isolated[i], futs[i].get().exec);
+    }
 }
 
-TEST(ServingEngineTest, DrainWithSlowBatchedJobInFlight)
+TEST(ServingEngineTest, OneTenantsBadJobFailsOnlyThatJob)
+{
+    auto &reg = obs::MetricsRegistry::global();
+    reg.reset();
+    FheContext ctx(smallParams());
+    BgvScheme bgv(&ctx);
+    Program slow = heavyProgram(60);
+    Program p = chainProgram();
+
+    constexpr uint64_t kClean = 6;
+    std::vector<ExecutionResult> solo;
+    for (uint64_t i = 0; i < kClean; ++i) {
+        RuntimeInputs in;
+        in.seed = 5000 + i;
+        solo.push_back(OpGraphExecutor(p, &bgv).execute(in));
+    }
+
+    ServingConfig cfg;
+    cfg.workers = 1;
+    // A deadline no healthy job can miss: a clean deadline miss can
+    // only come from another tenant's failure.
+    cfg.tenantPolicies["clean"] = {0, 600000.0, 0};
+    ServingEngine engine(&bgv, cfg);
+
+    // The slow job holds the one worker, so every job below is queued
+    // at once, all on the same program.
+    JobRequest block;
+    block.program = &slow;
+    block.tenant = "blocker";
+    auto blockFut = engine.submit(std::move(block));
+
+    auto cleanJob = [&](uint64_t i) {
+        JobRequest req;
+        req.program = &p;
+        req.tenant = "clean";
+        req.inputs.seed = 5000 + i;
+        return engine.submit(std::move(req));
+    };
+    std::vector<std::future<JobResult>> clean;
+    for (uint64_t i = 0; i < kClean / 2; ++i)
+        clean.push_back(cleanJob(i));
+    // CKKS slot data bound into a BGV program: fails in prepare.
+    JobRequest bad;
+    bad.program = &p;
+    bad.tenant = "hostile";
+    bad.inputs.bind(0, std::vector<std::complex<double>>(128));
+    auto badFut = engine.submit(std::move(bad));
+    for (uint64_t i = kClean / 2; i < kClean; ++i)
+        clean.push_back(cleanJob(i));
+
+    EXPECT_THROW(badFut.get(), FatalError);
+    EXPECT_NO_THROW(blockFut.get());
+    for (uint64_t i = 0; i < kClean; ++i) {
+        JobResult r;
+        ASSERT_NO_THROW(r = clean[i].get()) << "clean job " << i;
+        expectIdenticalOutputs(solo[i], r.exec);
+    }
+    EXPECT_EQ(counterNow("serving.jobs_failed"), 1u);
+    EXPECT_EQ(counterNow("slo.hostile.deadline_misses"), 1u);
+    const auto snap = reg.snapshot();
+    ASSERT_TRUE(snap.counters.count("slo.clean.deadline_misses"));
+    EXPECT_EQ(snap.counters.at("slo.clean.deadline_misses"), 0u);
+    reg.reset();
+}
+
+TEST(ServingEngineTest, DrainWithSlowJobInFlight)
 {
     FheContext ctx(smallParams());
     BgvScheme bgv(&ctx);
@@ -1042,15 +985,14 @@ TEST(ServingEngineTest, DrainWithSlowBatchedJobInFlight)
 
     ServingConfig cfg;
     cfg.workers = 1; // one worker: the lead job serializes pickup
-    cfg.maxBatch = 8;
     ServingEngine engine(&bgv, cfg);
+    const auto batches0 = histogramNow("serving.batch_size");
 
     JobRequest first;
     first.program = &lead;
     auto leadFut = engine.submit(std::move(first));
 
-    // These queue up while the worker grinds the lead job, so the
-    // coalescer sees them together and fuses them into one batch.
+    // These queue up while the worker grinds the lead job.
     std::vector<std::future<JobResult>> futs;
     for (uint64_t i = 0; i < 6; ++i) {
         JobRequest req;
@@ -1059,26 +1001,24 @@ TEST(ServingEngineTest, DrainWithSlowBatchedJobInFlight)
         futs.push_back(engine.submit(std::move(req)));
     }
 
-    engine.drain(); // must cover the slow batched execution
+    engine.drain(); // must cover the slow execution
 
     using namespace std::chrono_literals;
     ASSERT_EQ(leadFut.wait_for(0s), std::future_status::ready);
-    size_t maxBatch = 0;
     for (size_t i = 0; i < futs.size(); ++i) {
         ASSERT_EQ(futs[i].wait_for(0s), std::future_status::ready)
             << "drain() returned with job " << i << " unfinished";
         JobResult r = futs[i].get();
-        maxBatch = std::max(maxBatch, r.exec.batchSize);
+        EXPECT_EQ(r.exec.batchSize, 1u);
         RuntimeInputs in;
         in.seed = 3000 + i;
         OpGraphExecutor exec(light, &bgv);
         expectIdenticalOutputs(exec.execute(in), r.exec);
     }
-    // All six were queued behind the lead, so they fused.
-    EXPECT_GE(maxBatch, 2u);
-    auto snap = obs::MetricsRegistry::global().snapshot();
-    ASSERT_TRUE(snap.histograms.count("serving.batch_size"));
-    EXPECT_GE(snap.histograms.at("serving.batch_size").count, 1u);
+    // serving.batch_size observes 1 per job.
+    const auto batches = histogramNow("serving.batch_size");
+    EXPECT_EQ(batches.count - batches0.count, 7u);
+    EXPECT_EQ(batches.sum - batches0.sum, 7.0);
 }
 
 TEST(ServingEngineTest, SubmitWhileDestructingIsRejected)
@@ -1088,8 +1028,7 @@ TEST(ServingEngineTest, SubmitWhileDestructingIsRejected)
     Program slow = heavyProgram(40);
 
     ServingConfig cfg;
-    cfg.workers = 1;
-    cfg.maxBatch = 1; // no fusing: the backlog drains one by one
+    cfg.workers = 1; // the backlog drains one by one
     auto *engine = new ServingEngine(&bgv, cfg);
 
     // A deep backlog of slow jobs keeps the destructor inside
@@ -1140,9 +1079,9 @@ TEST(ServingEngineTest, TenantQueueDepthCapSheds)
 
     ServingConfig cfg;
     cfg.workers = 1;
-    cfg.maxBatch = 1;
     cfg.tenantPolicies["capped"] = {0, 1000.0, /*maxQueueDepth=*/2};
     ServingEngine engine(&bgv, cfg);
+    const uint64_t shed0 = counterNow("serving.shed_jobs");
 
     // Flood the capped tenant. The worker can hold at most one job in
     // flight, so by the pigeonhole principle the tenant's queue is at
@@ -1161,10 +1100,11 @@ TEST(ServingEngineTest, TenantQueueDepthCapSheds)
         }
     }
     EXPECT_GT(shed, 0u);
-    EXPECT_EQ(engine.stats().shed, shed);
+    EXPECT_EQ(counterNow("serving.shed_jobs") - shed0, shed);
     for (auto &f : futs)
         f.get();
-    EXPECT_LE(engine.stats().peakQueueDepth, 3u); // cap 2 + pickup race
+    // Cap 2 + pickup race.
+    EXPECT_LE(counterNow("serving.queue_depth_peak"), 3u);
 }
 
 } // namespace
