@@ -2,52 +2,72 @@
 
 #include <algorithm>
 #include <cmath>
-#include <list>
-#include <unordered_map>
-#include <unordered_set>
 
 namespace f1 {
 
 namespace {
 
-/** Simple per-cluster LRU of register-file-resident values. */
-class RfCache
+/**
+ * Every cluster's register file as an LRU over a few RVec slots.
+ * Residency is one mask word per value (bit c: resident in cluster c),
+ * so probing a cluster is a load. Each cluster's slots hold (value,
+ * last-touch stamp) pairs; a miss replaces the smallest stamp, an empty
+ * slot first. A value just touched holds the largest stamp, so it is
+ * never the victim. A touch scans one cluster's slots, which are few
+ * (regFileSlots: 8 at n=16384, 128 at n=1024).
+ */
+class RegisterFiles
 {
   public:
-    void
-    init(uint32_t slots)
+    RegisterFiles(uint32_t clusters, uint32_t slots, size_t values)
+        : slots_(std::max(2u, slots)), resident_(values, 0),
+          slot_((size_t)clusters * slots_)
     {
-        slots_ = std::max(2u, slots);
     }
 
     bool
-    contains(ValueId v) const
+    contains(uint16_t c, ValueId v) const
     {
-        return map_.count(v) != 0;
+        return (resident_[v] >> c) & 1;
     }
 
-    void
-    touch(ValueId v)
+    /** Marks v most recently used in cluster c, loading it on a miss.
+     *  @return whether v was already resident. */
+    bool
+    touch(uint16_t c, ValueId v)
     {
-        auto it = map_.find(v);
-        if (it != map_.end()) {
-            lru_.erase(it->second);
-            lru_.push_front(v);
-            it->second = lru_.begin();
-            return;
+        const uint64_t bit = uint64_t{1} << c;
+        Slot *first = &slot_[(size_t)c * slots_], *last = first + slots_;
+        const bool hit = resident_[v] & bit;
+        Slot *s;
+        if (hit) {
+            s = std::find_if(first, last,
+                             [v](const Slot &x) { return x.value == v; });
+        } else {
+            s = std::min_element(first, last,
+                                 [](const Slot &a, const Slot &b) {
+                                     return a.stamp < b.stamp;
+                                 });
+            if (s->value != kNoValue)
+                resident_[s->value] &= ~bit;
+            s->value = v;
+            resident_[v] |= bit;
         }
-        lru_.push_front(v);
-        map_[v] = lru_.begin();
-        if (map_.size() > slots_) {
-            map_.erase(lru_.back());
-            lru_.pop_back();
-        }
+        s->stamp = ++stamp_;
+        return hit;
     }
 
   private:
-    uint32_t slots_ = 2;
-    std::list<ValueId> lru_;
-    std::unordered_map<ValueId, std::list<ValueId>::iterator> map_;
+    struct Slot
+    {
+        ValueId value = kNoValue;
+        uint64_t stamp = 0; //!< 0: never filled
+    };
+
+    uint32_t slots_;
+    uint64_t stamp_ = 0;
+    std::vector<uint64_t> resident_; //!< per value, cluster bitmask
+    std::vector<Slot> slot_;         //!< slots_ per cluster
 };
 
 class CycleScheduler
@@ -55,7 +75,8 @@ class CycleScheduler
   public:
     CycleScheduler(const Dfg &dfg, const MemScheduleResult &mem,
                    const F1Config &cfg, bool record)
-        : dfg_(dfg), mem_(mem), cfg_(cfg), record_(record)
+        : dfg_(dfg), mem_(mem), cfg_(cfg), record_(record),
+          rf_(cfg.clusters, cfg.regFileSlots(dfg.n), dfg.values.size())
     {
         result_.traffic = mem.traffic;
         const uint32_t n = dfg.n;
@@ -72,11 +93,7 @@ class CycleScheduler
             fuFree_[(size_t)t].assign(
                 (size_t)cfg.clusters * cfg.fuCount(t), 0);
         }
-        rf_.resize(cfg.clusters);
-        for (auto &rf : rf_)
-            rf.init(cfg.regFileSlots(n));
         valueReady_.assign(dfg.values.size(), 0);
-        valueBank_.assign(dfg.values.size(), UINT16_MAX);
         result_.instrIssueCycle.assign(dfg.instrs.size(), 0);
         // Decoupling window: about half the scratchpad of prefetch.
         prefetchWindow_ =
@@ -104,13 +121,7 @@ class CycleScheduler
     }
 
   private:
-    uint16_t
-    homeBank(ValueId v)
-    {
-        if (valueBank_[v] == UINT16_MAX)
-            valueBank_[v] = v % cfg_.scratchBanks;
-        return valueBank_[v];
-    }
+    uint16_t homeBank(ValueId v) const { return v % cfg_.scratchBanks; }
 
     void
     recordEvent(ScheduledEvent ev)
@@ -167,11 +178,9 @@ class CycleScheduler
     uint64_t
     fetchOperand(uint16_t c, ValueId v)
     {
-        if (rf_[c].contains(v)) {
-            rf_[c].touch(v);
-            result_.rfBytes += dfg_.rvecBytes();
+        result_.rfBytes += dfg_.rvecBytes();
+        if (rf_.touch(c, v))
             return valueReady_[v];
-        }
         uint16_t bank = homeBank(v);
         uint64_t t = std::max({bankRead_[bank], clusterIn_[c],
                                valueReady_[v]});
@@ -183,8 +192,6 @@ class CycleScheduler
                      t + portCycles_, UINT32_MAX, v});
         result_.nocBytes += dfg_.rvecBytes();
         result_.scratchBytes += dfg_.rvecBytes();
-        result_.rfBytes += dfg_.rvecBytes();
-        rf_[c].touch(v);
         return t + portCycles_;
     }
 
@@ -201,21 +208,26 @@ class CycleScheduler
         const uint32_t units = cfg_.fuCount(fu);
 
         // Cluster choice: prefer operand locality, then earliest FU.
+        const uint64_t *fu_free_at = fuFree_[(size_t)fu].data();
         uint16_t cluster = 0;
-        uint64_t best = UINT64_MAX;
+        uint32_t unit = 0;
+        uint64_t best = UINT64_MAX, fu_free = 0;
         for (uint16_t c = 0; c < cfg_.clusters; ++c) {
-            uint64_t fu_free = UINT64_MAX;
-            for (uint32_t u = 0; u < units; ++u)
-                fu_free = std::min(fu_free,
-                                   fuFree_[(size_t)fu][c * units + u]);
-            uint64_t score = fu_free;
+            const uint64_t *at = fu_free_at + c * units;
+            uint32_t u = 0; // the cluster's earliest-free unit
+            for (uint32_t k = 1; k < units; ++k)
+                if (at[k] < at[u])
+                    u = k;
+            uint64_t score = at[u];
             for (ValueId v : {ins.src0, ins.src1})
-                if (v != kNoValue && rf_[c].contains(v))
+                if (v != kNoValue && rf_.contains(c, v))
                     score = score > portCycles_ ? score - portCycles_
                                                 : 0;
             if (score < best) {
                 best = score;
                 cluster = c;
+                unit = u;
+                fu_free = at[u];
             }
         }
 
@@ -225,15 +237,6 @@ class CycleScheduler
                 operands = std::max(operands,
                                     fetchOperand(cluster, v));
 
-        uint32_t unit = 0;
-        uint64_t fu_free = UINT64_MAX;
-        for (uint32_t u = 0; u < units; ++u) {
-            uint64_t f = fuFree_[(size_t)fu][cluster * units + u];
-            if (f < fu_free) {
-                fu_free = f;
-                unit = u;
-            }
-        }
         const uint32_t occ = cfg_.occupancy(fu, dfg_.n);
         uint64_t issue = std::max(operands, fu_free);
         result_.instrIssueCycle[id] = issue;
@@ -248,7 +251,7 @@ class CycleScheduler
 
         if (ins.dst != kNoValue) {
             // Result into the RF, then written back to its home bank.
-            rf_[cluster].touch(ins.dst);
+            rf_.touch(cluster, ins.dst);
             result_.rfBytes += dfg_.rvecBytes();
             uint16_t bank = homeBank(ins.dst);
             uint64_t t = std::max({clusterOut_[cluster],
@@ -278,6 +281,7 @@ class CycleScheduler
     const MemScheduleResult &mem_;
     F1Config cfg_;
     bool record_;
+    RegisterFiles rf_;
 
     uint64_t hbmCyclesPerRVec_ = 1;
     uint32_t portCycles_ = 1;
@@ -288,9 +292,7 @@ class CycleScheduler
     std::vector<uint64_t> bankRead_, bankWrite_;
     std::vector<uint64_t> clusterIn_, clusterOut_;
     std::array<std::vector<uint64_t>, 4> fuFree_;
-    std::vector<RfCache> rf_;
     std::vector<uint64_t> valueReady_;
-    std::vector<uint16_t> valueBank_;
     ScheduleResult result_;
 };
 
@@ -326,6 +328,17 @@ ScheduleResult
 scheduleCycles(const Dfg &dfg, const MemScheduleResult &mem,
                const F1Config &cfg, bool record_events)
 {
+    F1_REQUIRE(cfg.clusters >= 1 && cfg.clusters <= kMaxClusters,
+               "F1Config::clusters = " << cfg.clusters << " outside [1, "
+                                       << kMaxClusters << "]");
+    for (FuType t : {FuType::kNtt, FuType::kAut, FuType::kMul,
+                     FuType::kAdd})
+        F1_REQUIRE(cfg.fuCount(t) >= 1, "F1Config has no FU of class "
+                                            << (int)t);
+    F1_REQUIRE(cfg.scratchBanks >= 1 && cfg.lanes >= 1 &&
+                   cfg.portBytes >= 1 && cfg.hbmBytesPerCycle() > 0,
+               "F1Config needs scratchpad banks, lanes, port bytes and "
+               "HBM bandwidth");
     return CycleScheduler(dfg, mem, cfg, record_events).run();
 }
 

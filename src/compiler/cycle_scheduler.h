@@ -104,6 +104,13 @@ struct ScheduleResult
                        const EnergyRates &rates = {}) const;
 };
 
+/** Most clusters the register-file model tracks: one bit each in a
+ *  64-bit residency mask. */
+constexpr uint32_t kMaxClusters = 64;
+
+/** @throws FatalError if `cfg` lacks clusters, a FU class, scratchpad
+ *  banks, lanes, port bytes or HBM bandwidth, or has more than
+ *  kMaxClusters clusters. */
 ScheduleResult scheduleCycles(const Dfg &dfg, const MemScheduleResult &mem,
                               const F1Config &cfg,
                               bool record_events = false);

@@ -1,8 +1,9 @@
 #include "compiler/memory_scheduler.h"
 
 #include <algorithm>
+#include <numeric>
 #include <queue>
-#include <set>
+#include <span>
 
 namespace f1 {
 
@@ -22,16 +23,25 @@ class MemScheduler
 {
   public:
     MemScheduler(const Dfg &dfg, const F1Config &cfg, MemPolicy policy)
-        : dfg_(dfg), cfg_(cfg), policy_(policy),
+        : dfg_(dfg), policy_(policy),
           capacity_(cfg.scratchSlots(dfg.n)), vals_(dfg.values.size()),
-          uses_(dfg.values.size())
+          useStart_(dfg.values.size() + 1, 0)
     {
         F1_REQUIRE(capacity_ >= 8, "scratchpad too small for N");
-        for (uint32_t i = 0; i < dfg_.instrs.size(); ++i) {
+        // Count, prefix-sum to range ends, then fill each range from
+        // its end in reverse instruction order, leaving its start.
+        for (const auto &ins : dfg_.instrs)
+            for (ValueId v : {ins.src0, ins.src1})
+                if (v != kNoValue)
+                    ++useStart_[v];
+        std::partial_sum(useStart_.begin(), useStart_.end(),
+                         useStart_.begin());
+        useList_.resize(useStart_.back());
+        for (uint32_t i = (uint32_t)dfg_.instrs.size(); i-- > 0;) {
             const auto &ins = dfg_.instrs[i];
             for (ValueId v : {ins.src0, ins.src1})
                 if (v != kNoValue)
-                    uses_[v].push_back(i);
+                    useList_[--useStart_[v]] = i;
         }
     }
 
@@ -43,7 +53,8 @@ class MemScheduler
         for (uint32_t i = 0; i < order.size(); ++i)
             posInOrder_[order[i]] = i;
         if (policy_ == MemPolicy::kCsr) {
-            for (auto &u : uses_) {
+            for (ValueId v = 0; v < vals_.size(); ++v) {
+                std::span<uint32_t> u = uses(v);
                 std::sort(u.begin(), u.end(),
                           [&](uint32_t a, uint32_t b) {
                               return posInOrder_[a] < posInOrder_[b];
@@ -76,21 +87,16 @@ class MemScheduler
         }
 
         std::vector<int> deps(n, 0);
-        std::vector<std::vector<uint32_t>> consumers(
-            dfg_.values.size());
         for (uint32_t i = 0; i < n; ++i) {
             const auto &ins = dfg_.instrs[i];
-            for (ValueId v : {ins.src0, ins.src1}) {
+            for (ValueId v : {ins.src0, ins.src1})
                 if (v != kNoValue &&
-                    dfg_.values[v].producer != UINT32_MAX) {
+                    dfg_.values[v].producer != UINT32_MAX)
                     ++deps[i];
-                    consumers[v].push_back(i);
-                }
-            }
         }
         std::vector<uint32_t> remaining_uses(dfg_.values.size());
-        for (size_t v = 0; v < uses_.size(); ++v)
-            remaining_uses[v] = (uint32_t)uses_[v].size();
+        for (ValueId v = 0; v < vals_.size(); ++v)
+            remaining_uses[v] = (uint32_t)uses(v).size();
 
         auto score = [&](uint32_t i) {
             const auto &ins = dfg_.instrs[i];
@@ -127,7 +133,7 @@ class MemScheduler
                 if (v != kNoValue)
                     --remaining_uses[v];
             if (ins.dst != kNoValue)
-                for (uint32_t user : consumers[ins.dst])
+                for (uint32_t user : uses(ins.dst))
                     if (--deps[user] == 0)
                         push(user);
         }
@@ -135,12 +141,21 @@ class MemScheduler
         return order;
     }
 
+    /** Instructions reading v, in instruction order until run() sorts
+     *  them into execution order. */
+    std::span<uint32_t>
+    uses(ValueId v)
+    {
+        return {useList_.data() + useStart_[v],
+                useList_.data() + useStart_[v + 1]};
+    }
+
     /** Position (in execution order) of v's next use at/after `pos`. */
     uint32_t
     nextUse(ValueId v, uint32_t pos)
     {
         auto &st = vals_[v];
-        const auto &u = uses_[v];
+        const auto u = uses(v);
         while (st.usePtr < u.size() &&
                posInOrder_[u[st.usePtr]] < pos)
             ++st.usePtr;
@@ -151,7 +166,7 @@ class MemScheduler
     void
     loadValue(ValueId v)
     {
-        makeRoom(1);
+        makeRoom();
         auto &st = vals_[v];
         const auto &info = dfg_.values[v];
         const uint64_t bytes = dfg_.rvecBytes();
@@ -172,13 +187,14 @@ class MemScheduler
     }
 
     void
-    makeRoom(uint32_t needed)
+    makeRoom()
     {
-        while (residentCount_ + needed > capacity_) {
+        while (residentCount_ >= capacity_) {
             F1_CHECK(!evictable_.empty(), "scratchpad deadlock");
             auto [nu, v] = evictable_.top();
             evictable_.pop();
-            if (!vals_[v].resident || pinned_.count(v))
+            if (!vals_[v].resident || v == pinned_[0] ||
+                v == pinned_[1])
                 continue; // stale or in use right now
             uint32_t cur = nextUse(v, curPos_);
             if (cur != nu) {
@@ -204,16 +220,16 @@ class MemScheduler
     {
         const auto &ins = dfg_.instrs[pc];
 
-        pinned_.clear();
-        for (ValueId v : {ins.src0, ins.src1}) {
-            if (v == kNoValue)
-                continue;
-            pinned_.insert(v);
-            if (!vals_[v].resident)
-                loadValue(v);
-        }
+        // A source is pinned once its turn comes: src0's load may evict src1.
+        pinned_[0] = ins.src0;
+        pinned_[1] = kNoValue;
+        if (ins.src0 != kNoValue && !vals_[ins.src0].resident)
+            loadValue(ins.src0);
+        pinned_[1] = ins.src1;
+        if (ins.src1 != kNoValue && !vals_[ins.src1].resident)
+            loadValue(ins.src1);
         if (ins.dst != kNoValue) {
-            makeRoom(1);
+            makeRoom();
             vals_[ins.dst].resident = true;
             ++residentCount_;
         }
@@ -228,18 +244,15 @@ class MemScheduler
             if (v == kNoValue)
                 continue;
             auto &st = vals_[v];
-            const auto &u = uses_[v];
-            while (st.usePtr < u.size() &&
-                   posInOrder_[u[st.usePtr]] <= curPos_)
-                ++st.usePtr;
-            if (st.usePtr >= u.size()) {
+            const uint32_t next = nextUse(v, curPos_ + 1);
+            if (next == kNoUse) {
                 if (st.resident &&
                     dfg_.values[v].kind != ValueKind::kOutput) {
                     st.resident = false;
                     --residentCount_;
                 }
             } else if (st.resident) {
-                evictable_.push({posInOrder_[u[st.usePtr]], v});
+                evictable_.push({next, v});
             }
         }
         if (ins.dst != kNoValue)
@@ -250,18 +263,18 @@ class MemScheduler
     }
 
     const Dfg &dfg_;
-    F1Config cfg_;
     MemPolicy policy_;
     uint32_t capacity_;
     uint32_t residentCount_ = 0;
     uint32_t curPos_ = 0;
     std::vector<ValState> vals_;
-    std::vector<std::vector<uint32_t>> uses_; //!< per value, instr ids
+    std::vector<uint32_t> useStart_; //!< per value, offset in useList_
+    std::vector<uint32_t> useList_;  //!< every value's uses, by value
     std::vector<uint32_t> posInOrder_;
     // Belady evicts the furthest next use: max-heap; kNoUse sorts
     // first naturally.
     std::priority_queue<std::pair<uint32_t, ValueId>> evictable_;
-    std::set<ValueId> pinned_;
+    ValueId pinned_[2] = {kNoValue, kNoValue}; //!< the step's sources
     MemScheduleResult result_;
 };
 

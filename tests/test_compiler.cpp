@@ -3,12 +3,15 @@
  * Compiler pipeline tests: translation op counts match the paper's
  * analysis (§2.4), hint-reuse ordering, memory-scheduler capacity
  * invariants, cycle-scheduler structural validity (via the checker),
- * and sensitivity knobs.
+ * pinned schedule figures, config rejection and sensitivity knobs.
  */
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "compiler/compiler.h"
 #include "sim/checker.h"
+#include "workloads/workloads.h"
 
 namespace f1 {
 namespace {
@@ -243,6 +246,112 @@ TEST(CycleScheduler, MemoryBoundProgramTracksBandwidth)
                         cfg.hbmBytesPerCycle();
     EXPECT_GE(res.schedule.cycles, (uint64_t)(0.9 * min_cycles));
     EXPECT_LE(res.schedule.cycles, (uint64_t)(3.0 * min_cycles));
+}
+
+TEST(CycleScheduler, RejectsDegenerateConfig)
+{
+    // Each of these indexed or divided by zero before the scheduler
+    // checked its config; now each is a FatalError at entry.
+    Program p = matvecProgram(4096, 4, 2, 3);
+    auto tr = translateProgram(p);
+    const F1Config good;
+    const auto mem = scheduleMemory(tr.dfg, good);
+    const std::function<void(F1Config &)> breakers[] = {
+        [](F1Config &c) { c.clusters = 0; },
+        [](F1Config &c) { c.clusters = kMaxClusters + 1; },
+        [](F1Config &c) { c.nttPerCluster = 0; },
+        [](F1Config &c) { c.autPerCluster = 0; },
+        [](F1Config &c) { c.lowThroughputAutDivisor = 0; },
+        [](F1Config &c) { c.mulPerCluster = 0; },
+        [](F1Config &c) { c.addPerCluster = 0; },
+        [](F1Config &c) { c.scratchBanks = 0; },
+        [](F1Config &c) { c.lanes = 0; },
+        [](F1Config &c) { c.portBytes = 0; },
+        [](F1Config &c) { c.hbmPhys = 0; },
+    };
+    for (const auto &breakConfig : breakers) {
+        F1Config bad = good;
+        breakConfig(bad);
+        EXPECT_THROW(scheduleCycles(tr.dfg, mem, bad), FatalError);
+    }
+    // Through the full pipeline, too: the memory scheduler passes a
+    // cluster-less machine on to the cycle scheduler.
+    F1Config none = good;
+    none.clusters = 0;
+    EXPECT_THROW(compileProgram(p, none), FatalError);
+    F1Config most = good;
+    most.clusters = kMaxClusters;
+    EXPECT_GT(compileProgram(p, most).schedule.cycles, 0u);
+}
+
+/** The schedule figures the golden test pins, for one config. */
+struct ScheduleFigures
+{
+    uint32_t clusters, banks;
+    uint64_t cycles, traffic, rfBytes, nocBytes, scratchBytes;
+    std::array<uint64_t, 4> fuBusy;
+    uint64_t issueDigest; //!< FNV-1a over instrIssueCycle
+};
+
+ScheduleFigures
+figuresOf(const Program &p, uint32_t clusters, uint32_t banks)
+{
+    F1Config cfg;
+    cfg.clusters = clusters;
+    cfg.scratchBanks = banks;
+    const ScheduleResult s = compileProgram(p, cfg).schedule;
+    uint64_t h = 14695981039346656037ull;
+    for (uint64_t c : s.instrIssueCycle)
+        for (int b = 0; b < 8; ++b)
+            h = (h ^ ((c >> (8 * b)) & 0xff)) * 1099511628211ull;
+    return {clusters,   banks,          s.cycles,        s.traffic.total(),
+            s.rfBytes,  s.nocBytes,     s.scratchBytes,  s.fuBusyCycles,
+            h};
+}
+
+TEST(CycleScheduler, ScheduleBitIdenticalAcrossConfigs)
+{
+    // The modelled results (Table 3/4, Fig. 9-11, ScheduleHints) rest
+    // on these figures: a scheduler speed-up must reproduce them
+    // exactly, and a model change re-pins them on purpose. LoLa-MNIST
+    // runs at n=16384 (8 RF slots per cluster); the n=1024 matvec has
+    // 128, enough to exercise eviction over a wide slot array.
+    const Program mnist = makeLolaMnist(false).program;
+    const Program small = matvecProgram(1024, 3, 16, 8);
+    const struct
+    {
+        const Program &prog;
+        ScheduleFigures want;
+    } cases[] = {
+        {mnist, {4, 8, 649635, 50200576, 487948288, 418971648, 469172224,
+                 {75904, 20224, 137984, 122688}, 14572519382589759948ull}},
+        {mnist, {4, 16, 568477, 50200576, 487948288, 414908416, 465108992,
+                 {75904, 20224, 137984, 122688}, 8933290079868315982ull}},
+        {mnist, {16, 8, 597567, 50200576, 487948288, 467763200, 517963776,
+                 {75904, 20224, 137984, 122688}, 1480058013140153218ull}},
+        {mnist, {16, 16, 472789, 50200576, 487948288, 468451328, 518651904,
+                 {75904, 20224, 137984, 122688}, 7410523737036601363ull}},
+        {mnist, {20, 8, 594514, 50200576, 487948288, 470548480, 520749056,
+                 {75904, 20224, 137984, 122688}, 4451063895343997377ull}},
+        {mnist, {20, 16, 463744, 50200576, 487948288, 472252416, 522452992,
+                 {75904, 20224, 137984, 122688}, 15891067330659659519ull}},
+        {small, {16, 16, 274865, 1400832, 121241600, 112082944, 113483776,
+                 {20480, 6144, 31488, 31744}, 17083651277535622634ull}},
+    };
+    for (const auto &c : cases) {
+        const ScheduleFigures got =
+            figuresOf(c.prog, c.want.clusters, c.want.banks);
+        SCOPED_TRACE(c.prog.name() + " clusters " +
+                     std::to_string(c.want.clusters) + " banks " +
+                     std::to_string(c.want.banks));
+        EXPECT_EQ(got.cycles, c.want.cycles);
+        EXPECT_EQ(got.traffic, c.want.traffic);
+        EXPECT_EQ(got.rfBytes, c.want.rfBytes);
+        EXPECT_EQ(got.nocBytes, c.want.nocBytes);
+        EXPECT_EQ(got.scratchBytes, c.want.scratchBytes);
+        EXPECT_EQ(got.fuBusy, c.want.fuBusy);
+        EXPECT_EQ(got.issueDigest, c.want.issueDigest);
+    }
 }
 
 TEST(AreaModel, MatchesPaperTable2)
