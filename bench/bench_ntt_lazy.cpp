@@ -1,27 +1,31 @@
 /**
  * @file
- * Lazy-vs-strict NTT microbench plus key-switch arena stats, emitting
- * one JSON document on stdout for the per-PR perf trajectory
+ * AVX2-vs-lazy-vs-strict NTT microbench plus key-switch arena stats,
+ * emitting one JSON document on stdout for the per-PR perf trajectory
  * (uploaded by CI as BENCH_ntt.json).
  *
  * Part 1 times a forward+inverse negacyclic NTT pair per modulus at
- * several N, single-threaded, on both the Harvey lazy path
- * (NttTables::forward/inverse) and the strict-reduction reference
- * (forwardStrict/inverseStrict), and cross-checks that the outputs
- * are bit-identical. Part 2 runs GHS and digit key-switching in
- * steady state and reports the scratch arena's checkout statistics:
- * heap allocations per apply() must be zero once warm.
+ * several N, single-threaded, on three paths: the AVX2 Harvey
+ * butterflies (NttTables::forward/inverse on an AVX2 host), the
+ * scalar lazy path (forwardScalar/inverseScalar) and the
+ * strict-reduction reference (forwardStrict/inverseStrict), and
+ * cross-checks that the outputs are bit-identical. On a host without
+ * AVX2 the AVX2 column is null. Part 2 runs GHS and digit
+ * key-switching in steady state and reports the scratch arena's
+ * checkout statistics: heap allocations per apply() must be zero once
+ * warm.
  *
  * Usage: bench_ntt_lazy [--smoke]
  *   --smoke  fewer reps and only N = 4096, for the CI canary.
  *
- * Exits nonzero on any correctness failure (lazy/strict divergence or
- * a warm apply() that hits the heap); the speedup numbers themselves
- * are data points, not gates.
+ * Exits nonzero on any correctness failure (a divergence between any
+ * two NTT paths or a warm apply() that hits the heap); the speedup
+ * numbers themselves are data points, not gates.
  */
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include "common/parallel.h"
@@ -50,11 +54,25 @@ struct NttRow
     uint32_t n;
     uint32_t q;
     size_t reps;
-    double lazyMs;   //!< per forward+inverse pair
+    double avx2Ms;   //!< per forward+inverse pair; < 0 without AVX2
+    double lazyMs;
     double strictMs;
-    double speedup;
     bool identical;
 };
+
+/** Mean ms per forward+inverse pair of `fwd`/`inv` over `reps`. */
+template <typename Fwd, typename Inv>
+double
+timePairs(const std::vector<uint32_t> &a, size_t reps, Fwd fwd, Inv inv)
+{
+    std::vector<uint32_t> work = a;
+    const double t0 = nowMs();
+    for (size_t r = 0; r < reps; ++r) {
+        fwd(std::span<uint32_t>(work));
+        inv(std::span<uint32_t>(work));
+    }
+    return (nowMs() - t0) / reps;
+}
 
 NttRow
 runNttPair(uint32_t n, size_t reps)
@@ -65,33 +83,31 @@ runNttPair(uint32_t n, size_t reps)
     std::vector<uint32_t> a(n);
     for (auto &x : a)
         x = static_cast<uint32_t>(rng.uniform(q));
+    const bool simd = NttTables::simdEnabled();
 
     // Cross-check first (also warms caches and twiddle tables).
-    std::vector<uint32_t> lazy = a, strict = a;
-    t.forward(lazy);
+    std::vector<uint32_t> fast = a, lazy = a, strict = a;
+    t.forward(fast);
+    t.forwardScalar(lazy);
     t.forwardStrict(strict);
-    bool identical = lazy == strict;
-    t.inverse(lazy);
+    bool identical = fast == lazy && lazy == strict;
+    t.inverse(fast);
+    t.inverseScalar(lazy);
     t.inverseStrict(strict);
-    identical = identical && lazy == strict && lazy == a;
+    identical = identical && fast == lazy && lazy == strict && lazy == a;
 
-    std::vector<uint32_t> work = a;
-    const double t0 = nowMs();
-    for (size_t r = 0; r < reps; ++r) {
-        t.forward(work);
-        t.inverse(work);
-    }
-    const double lazyMs = (nowMs() - t0) / reps;
-
-    work = a;
-    const double t1 = nowMs();
-    for (size_t r = 0; r < reps; ++r) {
-        t.forwardStrict(work);
-        t.inverseStrict(work);
-    }
-    const double strictMs = (nowMs() - t1) / reps;
-
-    return {n, q, reps, lazyMs, strictMs, strictMs / lazyMs, identical};
+    const double avx2Ms =
+        simd ? timePairs(
+                   a, reps, [&](auto s) { t.forward(s); },
+                   [&](auto s) { t.inverse(s); })
+             : -1.0;
+    const double lazyMs = timePairs(
+        a, reps, [&](auto s) { t.forwardScalar(s); },
+        [&](auto s) { t.inverseScalar(s); });
+    const double strictMs = timePairs(
+        a, reps, [&](auto s) { t.forwardStrict(s); },
+        [&](auto s) { t.inverseStrict(s); });
+    return {n, q, reps, avx2Ms, lazyMs, strictMs, identical};
 }
 
 struct ArenaRow
@@ -170,13 +186,21 @@ run(bool smoke)
     for (size_t i = 0; i < rows.size(); ++i) {
         const NttRow &r = rows[i];
         ok = ok && r.identical;
+        char avx2[64] = "null", avx2Speedup[64] = "null";
+        if (r.avx2Ms >= 0) {
+            snprintf(avx2, sizeof avx2, "%.5f", r.avx2Ms);
+            snprintf(avx2Speedup, sizeof avx2Speedup, "%.3f",
+                     r.lazyMs / r.avx2Ms);
+        }
         printf("    {\"n\": %u, \"q\": %u, \"reps\": %zu, "
+               "\"avx2_ms_per_pair\": %s, "
                "\"lazy_ms_per_pair\": %.5f, "
                "\"strict_ms_per_pair\": %.5f, "
+               "\"speedup_avx2_vs_lazy\": %s, "
                "\"speedup_lazy_vs_strict\": %.3f, "
                "\"bit_identical\": %s}%s\n",
-               r.n, r.q, r.reps, r.lazyMs, r.strictMs, r.speedup,
-               r.identical ? "true" : "false",
+               r.n, r.q, r.reps, avx2, r.lazyMs, r.strictMs, avx2Speedup,
+               r.strictMs / r.lazyMs, r.identical ? "true" : "false",
                i + 1 < rows.size() ? "," : "");
     }
     printf("  ],\n");

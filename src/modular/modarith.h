@@ -52,6 +52,57 @@ mulMod(uint32_t a, uint32_t b, uint32_t q)
     return static_cast<uint32_t>((uint64_t)a * b % q);
 }
 
+/**
+ * Barrett reduction by a fixed modulus 1 < q < 2^32, with
+ * mu = floor(2^64 / q). The quotient estimate floor(x * mu / 2^64)
+ * is at most 1 below floor(x / q) for every 64-bit x, so the
+ * remainder needs a single conditional subtraction (r < 2q) and no
+ * hardware division. Build one per residue loop and use it for
+ * element-wise products and lifts; mulMod stays the reference.
+ */
+struct Barrett
+{
+    uint64_t q;
+    uint64_t mu;
+
+    explicit Barrett(uint32_t modulus)
+        : q(modulus),
+          mu(static_cast<uint64_t>(((unsigned __int128)1 << 64) /
+                                   modulus))
+    {
+    }
+
+    /** x mod q for any 64-bit x. */
+    uint32_t
+    reduce(uint64_t x) const
+    {
+        const uint64_t qhat =
+            static_cast<uint64_t>(((unsigned __int128)x * mu) >> 64);
+        const uint64_t r = x - qhat * q; // [0, 2q)
+        return static_cast<uint32_t>(r >= q ? r - q : r);
+    }
+
+    /** a * b mod q for 32-bit a, b. */
+    uint32_t
+    mul(uint32_t a, uint32_t b) const
+    {
+        return reduce((uint64_t)a * b);
+    }
+
+    /**
+     * The representative of x mod q in [0, q) for any int64 x,
+     * INT64_MIN included. Reads x as the unsigned word x + 2^64 when
+     * negative, and takes the extra 2^64 mod q = 2^64 - mu*q back out.
+     */
+    uint32_t
+    reduceSigned(int64_t x) const
+    {
+        const uint64_t r = reduce(static_cast<uint64_t>(x));
+        const uint64_t c = x < 0 ? 0 - mu * q : 0;
+        return static_cast<uint32_t>(r >= c ? r - c : r + q - c);
+    }
+};
+
 /** -a mod q. */
 inline uint32_t
 negMod(uint32_t a, uint32_t q)

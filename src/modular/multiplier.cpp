@@ -24,28 +24,29 @@ pow2_64Mod(uint32_t q)
         ((unsigned __int128)1 << 64) % q);
 }
 
+/** q, checked before Barrett's constructor divides 2^64 by it. */
+uint32_t
+barrettModulus(uint32_t q)
+{
+    F1_REQUIRE(q > 1, "Barrett modulus must be > 1");
+    return q;
+}
+
 } // namespace
 
 //
 // Barrett
 //
 
-BarrettMultiplier::BarrettMultiplier(uint32_t q) : ModMultiplier(q)
+BarrettMultiplier::BarrettMultiplier(uint32_t q)
+    : ModMultiplier(q), barrett_(barrettModulus(q))
 {
-    F1_REQUIRE(q > 1, "Barrett modulus must be > 1");
-    mu_ = static_cast<uint64_t>(((unsigned __int128)1 << 64) / q);
 }
 
 uint32_t
 BarrettMultiplier::mul(uint32_t a, uint32_t b) const
 {
-    uint64_t t = (uint64_t)a * b;
-    uint64_t qhat = static_cast<uint64_t>(
-        ((unsigned __int128)t * mu_) >> 64);
-    uint64_t r = t - qhat * q_;
-    while (r >= q_)
-        r -= q_;
-    return static_cast<uint32_t>(r);
+    return barrett_.mul(a, b);
 }
 
 //

@@ -17,6 +17,8 @@
 #include <string>
 #include <vector>
 
+#include "modular/modarith.h"
+
 namespace f1 {
 
 /** Synthesis characteristics of a multiplier design (paper Table 1). */
@@ -60,7 +62,7 @@ class BarrettMultiplier : public ModMultiplier
     MultiplierCost cost() const override { return {5271.0, 18.40, 1317.0}; }
 
   private:
-    uint64_t mu_; //!< floor(2^64 / q)
+    Barrett barrett_; //!< mu = floor(2^64 / q)
 };
 
 /**

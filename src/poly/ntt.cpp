@@ -6,6 +6,10 @@
 #include "modular/primes.h"
 #include "obs/profile.h"
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 namespace f1 {
 
 NttTables::NttTables(uint32_t n, uint32_t q) : n_(n), q_(q)
@@ -65,6 +69,10 @@ NttTables::buildTwiddles()
         pin = mulMod(pin, psiInv_, q_);
     }
 
+    rev_.resize(n_);
+    for (uint32_t i = 0; i < n_; ++i)
+        rev_[i] = bitReverse(i, logN_);
+
     lenInv_.resize(logN_ + 1);
     lenInvPre_.resize(logN_ + 1);
     for (uint32_t lg = 0; lg <= logN_; ++lg) {
@@ -79,19 +87,214 @@ NttTables::omegaPow(uint64_t e) const
     return powMod(omega_, e % n_, q_);
 }
 
-namespace {
+bool
+NttTables::simdEnabled()
+{
+#if defined(__x86_64__)
+    static const bool avx2 = [] {
+        __builtin_cpu_init();
+        return __builtin_cpu_supports("avx2") != 0;
+    }();
+    return avx2;
+#else
+    return false;
+#endif
+}
 
-/** In-place bit-reversal permutation of a power-of-two-length span. */
+/** In-place bit-reversal permutation of a power-of-two length <= n. */
 void
-bitReversePermute(std::span<uint32_t> a)
+NttTables::bitReversePermute(std::span<uint32_t> a) const
 {
     const uint32_t len = static_cast<uint32_t>(a.size());
-    const uint32_t bits = log2Exact(len);
+    const uint32_t shift = logN_ - log2Exact(len);
+    const uint32_t *rev = rev_.data();
     for (uint32_t i = 0; i < len; ++i) {
-        uint32_t j = bitReverse(i, bits);
+        const uint32_t j = rev[i] >> shift;
         if (i < j)
             std::swap(a[i], a[j]);
     }
+}
+
+#if defined(__x86_64__)
+namespace {
+
+/**
+ * AVX2 versions of the lazy kernels: eight 32-bit lanes per step, the
+ * same operations as the scalar code, so the results are identical.
+ * Each loop expects a length that is a multiple of 8.
+ */
+namespace avx2 {
+
+#define F1_AVX2 __attribute__((target("avx2")))
+
+F1_AVX2 inline __m256i
+load(const uint32_t *p)
+{
+    return _mm256_loadu_si256(reinterpret_cast<const __m256i *>(p));
+}
+
+F1_AVX2 inline void
+store(uint32_t *p, __m256i v)
+{
+    _mm256_storeu_si256(reinterpret_cast<__m256i *>(p), v);
+}
+
+/** High 32 bits of the eight 32x32-bit products a[i] * b[i]. */
+F1_AVX2 inline __m256i
+mulhi(__m256i a, __m256i b)
+{
+    const __m256i even =
+        _mm256_srli_epi64(_mm256_mul_epu32(a, b), 32);
+    const __m256i odd = _mm256_mul_epu32(_mm256_srli_epi64(a, 32),
+                                         _mm256_srli_epi64(b, 32));
+    return _mm256_blend_epi32(even, odd, 0xaa);
+}
+
+/** mulModShoupLazy per lane: a * w mod q in [0, 2q). */
+F1_AVX2 inline __m256i
+mulShoupLazy(__m256i a, __m256i w, __m256i pre, __m256i q)
+{
+    return _mm256_sub_epi32(_mm256_mullo_epi32(a, w),
+                            _mm256_mullo_epi32(mulhi(a, pre), q));
+}
+
+/** x >= m ? x - m : x per unsigned lane. */
+F1_AVX2 inline __m256i
+condSub(__m256i x, __m256i m)
+{
+    return _mm256_min_epu32(x, _mm256_sub_epi32(x, m));
+}
+
+/** a[i] = mulModShoupLazy(a[i], w[i], pre[i], q). */
+F1_AVX2 void
+mulLazy(uint32_t *a, uint32_t len, const uint32_t *w,
+        const uint32_t *pre, uint32_t q)
+{
+    const __m256i vq = _mm256_set1_epi32(q);
+    for (uint32_t i = 0; i < len; i += 8)
+        store(a + i, mulShoupLazy(load(a + i), load(w + i),
+                                  load(pre + i), vq));
+}
+
+/** a[i] = mulModShoup(a[i], w[i], pre[i], q): fully reduced. */
+F1_AVX2 void
+mulFull(uint32_t *a, uint32_t len, const uint32_t *w,
+        const uint32_t *pre, uint32_t q)
+{
+    const __m256i vq = _mm256_set1_epi32(q);
+    for (uint32_t i = 0; i < len; i += 8)
+        store(a + i, condSub(mulShoupLazy(load(a + i), load(w + i),
+                                          load(pre + i), vq),
+                             vq));
+}
+
+/** a[i] = lazyCorrect(a[i], q, 2q). */
+F1_AVX2 void
+correct(uint32_t *a, uint32_t len, uint32_t q)
+{
+    const __m256i vq = _mm256_set1_epi32(q);
+    const __m256i v2q = _mm256_set1_epi32(2 * q);
+    for (uint32_t i = 0; i < len; i += 8)
+        store(a + i, condSub(condSub(load(a + i), v2q), vq));
+}
+
+/** The forward Harvey stages with half = 8 .. len/2. */
+F1_AVX2 void
+forwardStages(uint32_t *a, uint32_t len, const uint32_t *tw,
+              const uint32_t *twPre, uint32_t q)
+{
+    const __m256i vq = _mm256_set1_epi32(q);
+    const __m256i v2q = _mm256_set1_epi32(2 * q);
+    for (uint32_t half = 8; half < len; half <<= 1) {
+        for (uint32_t base = 0; base < len; base += 2 * half) {
+            uint32_t *lo = a + base;
+            uint32_t *hi = lo + half;
+            for (uint32_t j = 0; j < half; j += 8) {
+                const __m256i x = condSub(load(lo + j), v2q);
+                const __m256i t =
+                    mulShoupLazy(load(hi + j), load(tw + half + j),
+                                 load(twPre + half + j), vq);
+                store(lo + j, _mm256_add_epi32(x, t));
+                store(hi + j,
+                      _mm256_sub_epi32(_mm256_add_epi32(x, v2q), t));
+            }
+        }
+    }
+}
+
+/** The inverse Harvey stages with half = len/2 .. 8. */
+F1_AVX2 void
+inverseStages(uint32_t *a, uint32_t len, const uint32_t *tw,
+              const uint32_t *twPre, uint32_t q)
+{
+    const __m256i vq = _mm256_set1_epi32(q);
+    const __m256i v2q = _mm256_set1_epi32(2 * q);
+    for (uint32_t half = len >> 1; half >= 8; half >>= 1) {
+        for (uint32_t base = 0; base < len; base += 2 * half) {
+            uint32_t *lo = a + base;
+            uint32_t *hi = lo + half;
+            for (uint32_t j = 0; j < half; j += 8) {
+                const __m256i u = load(lo + j);
+                const __m256i v = load(hi + j);
+                store(lo + j, condSub(_mm256_add_epi32(u, v), v2q));
+                store(hi + j,
+                      mulShoupLazy(
+                          _mm256_sub_epi32(_mm256_add_epi32(u, v2q), v),
+                          load(tw + half + j), load(twPre + half + j),
+                          vq));
+            }
+        }
+    }
+}
+
+#undef F1_AVX2
+
+} // namespace avx2
+} // namespace
+#endif // __x86_64__
+
+namespace {
+
+// The element-wise passes of the lazy pipeline; `simd` selects the
+// AVX2 loop (callers pass it only for lengths that are multiples of 8).
+
+/** a[i] = mulModShoupLazy(a[i], w[i], pre[i], q), into [0, 2q). */
+void
+mulLazyPass(std::span<uint32_t> a, const uint32_t *w, const uint32_t *pre,
+            uint32_t q, [[maybe_unused]] bool simd)
+{
+#if defined(__x86_64__)
+    if (simd)
+        return avx2::mulLazy(a.data(), a.size(), w, pre, q);
+#endif
+    for (size_t i = 0; i < a.size(); ++i)
+        a[i] = mulModShoupLazy(a[i], w[i], pre[i], q);
+}
+
+/** a[i] = mulModShoup(a[i], w[i], pre[i], q): [0, 2q) into [0, q). */
+void
+mulFullPass(std::span<uint32_t> a, const uint32_t *w, const uint32_t *pre,
+            uint32_t q, [[maybe_unused]] bool simd)
+{
+#if defined(__x86_64__)
+    if (simd)
+        return avx2::mulFull(a.data(), a.size(), w, pre, q);
+#endif
+    for (size_t i = 0; i < a.size(); ++i)
+        a[i] = mulModShoup(a[i], w[i], pre[i], q);
+}
+
+/** a[i] = lazyCorrect(a[i], q, 2q): [0, 4q) into [0, q). */
+void
+correctPass(std::span<uint32_t> a, uint32_t q, [[maybe_unused]] bool simd)
+{
+#if defined(__x86_64__)
+    if (simd)
+        return avx2::correct(a.data(), a.size(), q);
+#endif
+    const uint32_t twoQ = 2 * q;
+    for (auto &x : a)
+        x = lazyCorrect(x, q, twoQ);
 }
 
 } // namespace
@@ -101,16 +304,18 @@ bitReversePermute(std::span<uint32_t> a)
  * followed by Harvey butterflies. Accepts values in [0, 4q); leaves
  * values in [0, 4q). Per butterfly: the upper input is conditionally
  * reduced into [0, 2q), the lower is multiplied lazily into [0, 2q),
- * and the outputs x+t / x-t+2q land back in [0, 4q).
+ * and the outputs x+t / x-t+2q land back in [0, 4q). With `simd` the
+ * stages with half >= 8 run on AVX2.
  */
 void
-NttTables::forwardStagesLazy(std::span<uint32_t> a) const
+NttTables::forwardStagesLazy(std::span<uint32_t> a, bool simd) const
 {
     const uint32_t len = static_cast<uint32_t>(a.size());
     const uint32_t q = q_;
     const uint32_t twoQ = 2 * q;
     bitReversePermute(a);
-    for (uint32_t half = 1; half < len; half <<= 1) {
+    const uint32_t scalarEnd = simd ? 8 : len; // simd implies len >= 16
+    for (uint32_t half = 1; half < scalarEnd; half <<= 1) {
         const uint32_t *tw = tw_.data() + half;
         const uint32_t *twPre = twPre_.data() + half;
         for (uint32_t base = 0; base < len; base += 2 * half) {
@@ -127,6 +332,10 @@ NttTables::forwardStagesLazy(std::span<uint32_t> a) const
             }
         }
     }
+#if defined(__x86_64__)
+    if (simd)
+        avx2::forwardStages(a.data(), len, tw_.data(), twPre_.data(), q);
+#endif
 }
 
 /**
@@ -136,15 +345,25 @@ NttTables::forwardStagesLazy(std::span<uint32_t> a) const
  * stays in [0, 2q): the sum butterfly output is conditionally reduced,
  * the difference goes through the lazy multiply. Callers apply the
  * 1/len (or fused ψ^-i/n) scaling with a fully-reducing mulModShoup,
- * which accepts the [0, 2q) inputs and restores [0, q).
+ * which accepts the [0, 2q) inputs and restores [0, q). With `simd`
+ * the stages with half >= 8 run on AVX2.
  */
 void
-NttTables::inverseStagesLazy(std::span<uint32_t> a) const
+NttTables::inverseStagesLazy(std::span<uint32_t> a,
+                             [[maybe_unused]] bool simd) const
 {
     const uint32_t len = static_cast<uint32_t>(a.size());
     const uint32_t q = q_;
     const uint32_t twoQ = 2 * q;
-    for (uint32_t half = len >> 1; half >= 1; half >>= 1) {
+    uint32_t half = len >> 1;
+#if defined(__x86_64__)
+    if (simd) {
+        avx2::inverseStages(a.data(), len, twInv_.data(),
+                            twInvPre_.data(), q);
+        half = 4;
+    }
+#endif
+    for (; half >= 1; half >>= 1) {
         const uint32_t *tw = twInv_.data() + half;
         const uint32_t *twPre = twInvPre_.data() + half;
         for (uint32_t base = 0; base < len; base += 2 * half) {
@@ -166,22 +385,21 @@ NttTables::inverseStagesLazy(std::span<uint32_t> a) const
 }
 
 void
-NttTables::cyclicForward(std::span<uint32_t> a) const
+NttTables::cyclicForwardLazy(std::span<uint32_t> a, bool simd) const
 {
     const uint32_t len = static_cast<uint32_t>(a.size());
     F1_CHECK(isPowerOfTwo(len) && len <= n_, "bad cyclic NTT length");
-    forwardStagesLazy(a);
-    const uint32_t twoQ = 2 * q_;
-    for (auto &x : a)
-        x = lazyCorrect(x, q_, twoQ);
+    simd = simd && len >= 16;
+    forwardStagesLazy(a, simd);
+    correctPass(a, q_, simd);
 }
 
 void
-NttTables::cyclicInverse(std::span<uint32_t> a) const
+NttTables::cyclicInverseLazy(std::span<uint32_t> a, bool simd) const
 {
     const uint32_t len = static_cast<uint32_t>(a.size());
     F1_CHECK(isPowerOfTwo(len) && len <= n_, "bad cyclic NTT length");
-    inverseStagesLazy(a);
+    inverseStagesLazy(a, simd && len >= 16);
     const uint32_t lg = log2Exact(len);
     // Fully-reducing scale: accepts [0, 2q), restores [0, q).
     for (auto &x : a)
@@ -189,31 +407,77 @@ NttTables::cyclicInverse(std::span<uint32_t> a) const
 }
 
 void
-NttTables::forward(std::span<uint32_t> a) const
+NttTables::forwardLazy(std::span<uint32_t> a, bool simd) const
 {
     F1_CHECK(a.size() == n_, "forward NTT length mismatch");
+    simd = simd && n_ >= 16;
+    // ψ-powers pre-multiplication, lazily into [0, 2q).
+    mulLazyPass(a, psiPow_.data(), psiPowPre_.data(), q_, simd);
+    forwardStagesLazy(a, simd);
+    correctPass(a, q_, simd);
+}
+
+void
+NttTables::inverseLazy(std::span<uint32_t> a, bool simd) const
+{
+    F1_CHECK(a.size() == n_, "inverse NTT length mismatch");
+    simd = simd && n_ >= 16;
+    // Unscaled lazy inverse FFT, then ψ^-i/n in one fully-reducing
+    // pass (the fused table folds the 1/n in; it also serves as the
+    // lazy pipeline's correction pass).
+    inverseStagesLazy(a, simd);
+    mulFullPass(a, psiInvN_.data(), psiInvNPre_.data(), q_, simd);
+}
+
+void
+NttTables::forward(std::span<uint32_t> a) const
+{
     // Per-job telemetry: one TLS null check when profiling is off.
     obs::profileAdd(obs::ProfileCounter::kNttForward);
-    // ψ-powers pre-multiplication, lazily into [0, 2q).
-    for (uint32_t i = 0; i < n_; ++i)
-        a[i] = mulModShoupLazy(a[i], psiPow_[i], psiPowPre_[i], q_);
-    forwardStagesLazy(a);
-    const uint32_t twoQ = 2 * q_;
-    for (auto &x : a)
-        x = lazyCorrect(x, q_, twoQ);
+    forwardLazy(a, simdEnabled());
 }
 
 void
 NttTables::inverse(std::span<uint32_t> a) const
 {
-    F1_CHECK(a.size() == n_, "inverse NTT length mismatch");
     obs::profileAdd(obs::ProfileCounter::kNttInverse);
-    // Unscaled lazy inverse FFT, then ψ^-i/n in one fully-reducing
-    // pass (the fused table folds the 1/n in; it also serves as the
-    // lazy pipeline's correction pass).
-    inverseStagesLazy(a);
-    for (uint32_t i = 0; i < n_; ++i)
-        a[i] = mulModShoup(a[i], psiInvN_[i], psiInvNPre_[i], q_);
+    inverseLazy(a, simdEnabled());
+}
+
+void
+NttTables::cyclicForward(std::span<uint32_t> a) const
+{
+    cyclicForwardLazy(a, simdEnabled());
+}
+
+void
+NttTables::cyclicInverse(std::span<uint32_t> a) const
+{
+    cyclicInverseLazy(a, simdEnabled());
+}
+
+void
+NttTables::forwardScalar(std::span<uint32_t> a) const
+{
+    forwardLazy(a, false);
+}
+
+void
+NttTables::inverseScalar(std::span<uint32_t> a) const
+{
+    inverseLazy(a, false);
+}
+
+void
+NttTables::cyclicForwardScalar(std::span<uint32_t> a) const
+{
+    cyclicForwardLazy(a, false);
+}
+
+void
+NttTables::cyclicInverseScalar(std::span<uint32_t> a) const
+{
+    cyclicInverseLazy(a, false);
 }
 
 void

@@ -36,11 +36,16 @@ namespace f1 {
  * values stay in [0, 4q) through the forward stages and [0, 2q)
  * through the inverse stages, with a single correction pass at the
  * end (folded into the ψ^-i/N scaling for the negacyclic inverse).
- * Inputs must be reduced ([0, q)); outputs are reduced. The *Strict
- * variants run the original fully-reduced butterflies and exist as
- * the golden reference for equivalence tests and the bench_ntt_lazy
- * baseline — both paths are bit-identical by construction (exact
- * modular arithmetic, same transform).
+ * Inputs must be reduced ([0, q)); outputs are reduced.
+ *
+ * On x86-64 hosts with AVX2 the lazy butterflies run 8 lanes at a
+ * time (stages with half >= 8, the ψ pre-multiply, the correction
+ * and the ψ^-i/n pass); the path is chosen once per process. The
+ * *Scalar variants force the scalar lazy path and the *Strict
+ * variants run the original fully-reduced butterflies; both exist as
+ * references for equivalence tests and bench_ntt_lazy. All three
+ * paths are bit-identical by construction (exact modular arithmetic,
+ * same transform).
  */
 class NttTables
 {
@@ -65,6 +70,15 @@ class NttTables
     void cyclicForward(std::span<uint32_t> a) const;
     void cyclicInverse(std::span<uint32_t> a) const; // includes 1/len
 
+    /** True when forward/inverse use the AVX2 butterflies. */
+    static bool simdEnabled();
+
+    /** The scalar lazy path, whatever simdEnabled() says. */
+    void forwardScalar(std::span<uint32_t> a) const;
+    void inverseScalar(std::span<uint32_t> a) const;
+    void cyclicForwardScalar(std::span<uint32_t> a) const;
+    void cyclicInverseScalar(std::span<uint32_t> a) const;
+
     /**
      * Strict-reduction reference path (the pre-lazy implementation):
      * every butterfly fully reduces into [0, q). Outputs are
@@ -81,8 +95,13 @@ class NttTables
 
   private:
     void buildTwiddles();
-    void forwardStagesLazy(std::span<uint32_t> a) const;
-    void inverseStagesLazy(std::span<uint32_t> a) const;
+    void bitReversePermute(std::span<uint32_t> a) const;
+    void forwardLazy(std::span<uint32_t> a, bool simd) const;
+    void inverseLazy(std::span<uint32_t> a, bool simd) const;
+    void cyclicForwardLazy(std::span<uint32_t> a, bool simd) const;
+    void cyclicInverseLazy(std::span<uint32_t> a, bool simd) const;
+    void forwardStagesLazy(std::span<uint32_t> a, bool simd) const;
+    void inverseStagesLazy(std::span<uint32_t> a, bool simd) const;
 
     uint32_t n_;
     uint32_t logN_;
@@ -100,6 +119,9 @@ class NttTables
     // psi^i and psi^-i * nInv with Shoup precomputations.
     std::vector<uint32_t> psiPow_, psiPowPre_;
     std::vector<uint32_t> psiInvN_, psiInvNPre_;
+    // rev_[i] = bitReverse(i, logN_); a length-len transform uses
+    // rev_[i] >> (logN_ - log2(len)).
+    std::vector<uint32_t> rev_;
     // Per-length inverse scalings for cyclicInverse.
     std::vector<uint32_t> lenInv_, lenInvPre_; // indexed by log2(len)
 };

@@ -37,14 +37,10 @@ RnsPoly::fromSigned(const PolyContext *ctx, size_t levels,
     F1_REQUIRE(coeffs.size() == ctx->n(), "coefficient count mismatch");
     RnsPoly p(ctx, levels, Domain::kCoeff);
     parallelForLimbs(levels, [&](size_t i) {
-        const uint32_t q = ctx->modulus(i);
+        const Barrett br(ctx->modulus(i));
         auto res = p.residue(i);
-        for (size_t j = 0; j < coeffs.size(); ++j) {
-            int64_t c = coeffs[j] % (int64_t)q;
-            if (c < 0)
-                c += q;
-            res[j] = static_cast<uint32_t>(c);
-        }
+        for (size_t j = 0; j < coeffs.size(); ++j)
+            res[j] = br.reduceSigned(coeffs[j]);
         if (target == Domain::kNtt)
             ctx->tables(i).forward(res);
     });
@@ -150,11 +146,11 @@ RnsPoly::mulEq(const RnsPoly &o)
              "element-wise multiply requires NTT domain");
     F1_CHECK(levels_ == o.levels_, "level mismatch in mulEq");
     parallelForLimbs(levels_, [&](size_t i) {
-        const uint32_t q = ctx_->modulus(i);
+        const Barrett br(ctx_->modulus(i));
         auto a = residue(i);
         auto b = o.residue(i);
         for (size_t j = 0; j < a.size(); ++j)
-            a[j] = mulMod(a[j], b[j], q);
+            a[j] = br.mul(a[j], b[j]);
     });
     return *this;
 }

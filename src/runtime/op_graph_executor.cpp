@@ -733,19 +733,21 @@ OpGraphExecutor::runWorkStealing(RunState &st,
             if (uses[h].load(std::memory_order_acquire) == 0)
                 releaseCt(h);
         }
-        // Unlock dependents; newly-ready continuations stay local.
-        for (int dep : dependents_[h]) {
-            if (indeg[dep].fetch_sub(1,
-                                     std::memory_order_acq_rel) == 1)
-                pushTo(deques[wid], dep);
-        }
-        // Release operands this op consumed for the last time.
+        // Release operands this op consumed for the last time before
+        // publishing dependents: a thief that runs a continuation at
+        // once must not see them still resident.
         int deps[2];
         ctOperands(ops[h], deps);
         for (int d : deps) {
             if (d >= 0 &&
                 uses[d].fetch_sub(1, std::memory_order_acq_rel) == 1)
                 releaseCt(d);
+        }
+        // Unlock dependents; newly-ready continuations stay local.
+        for (int dep : dependents_[h]) {
+            if (indeg[dep].fetch_sub(1,
+                                     std::memory_order_acq_rel) == 1)
+                pushTo(deques[wid], dep);
         }
         remaining.fetch_sub(1, std::memory_order_release);
     };

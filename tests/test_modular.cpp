@@ -111,6 +111,79 @@ TEST(ModArith, ShoupMatchesReference)
     }
 }
 
+/** x mod q in [0, q) for a signed x, via the C++ truncating %. */
+uint32_t
+refSignedMod(int64_t x, uint32_t q)
+{
+    int64_t r = x % (int64_t)q;
+    return static_cast<uint32_t>(r < 0 ? r + q : r);
+}
+
+TEST(Barrett, ReduceMatchesRemainder)
+{
+    Rng rng(21);
+    std::vector<uint32_t> qs = {2u, 3u, 65537u, (1u << 31) - 1,
+                                generateNttPrimes(1, 28, 1024)[0],
+                                generateNttPrimes(1, 30, 8192)[0]};
+    for (int i = 0; i < 20; ++i)
+        qs.push_back(2 + static_cast<uint32_t>(rng.uniform((1u << 31) - 3)));
+    for (uint32_t q : qs) {
+        const Barrett br(q);
+        const uint64_t edges[] = {0,
+                                  q - 1u,
+                                  q,
+                                  uint64_t(1) << 62,
+                                  ~uint64_t(0),
+                                  (uint64_t)(q - 1u) * (q - 1u)};
+        for (uint64_t x : edges)
+            EXPECT_EQ(br.reduce(x), x % q) << "x=" << x << " q=" << q;
+        for (int it = 0; it < 2000; ++it) {
+            const uint64_t x = rng.next();
+            ASSERT_EQ(br.reduce(x), x % q) << "x=" << x << " q=" << q;
+            const uint32_t a = static_cast<uint32_t>(rng.uniform(q));
+            const uint32_t b = static_cast<uint32_t>(rng.uniform(q));
+            ASSERT_EQ(br.mul(a, b), refMul(a, b, q))
+                << "a=" << a << " b=" << b << " q=" << q;
+        }
+    }
+}
+
+TEST(Barrett, ReduceSignedMatchesRemainderOnFullInt64Range)
+{
+    Rng rng(22);
+    std::vector<uint32_t> qs = {2u, 3u, 65537u, (1u << 31) - 1,
+                                generateNttPrimes(1, 28, 1024)[0]};
+    for (int i = 0; i < 20; ++i)
+        qs.push_back(2 + static_cast<uint32_t>(rng.uniform((1u << 31) - 3)));
+    for (uint32_t q : qs) {
+        const Barrett br(q);
+        const int64_t edges[] = {0,
+                                 1,
+                                 -1,
+                                 (int64_t)q - 1,
+                                 (int64_t)q,
+                                 -(int64_t)q,
+                                 -(int64_t)q + 1,
+                                 INT64_MIN,
+                                 INT64_MIN + 1,
+                                 INT64_MAX};
+        for (int64_t x : edges)
+            EXPECT_EQ(br.reduceSigned(x), refSignedMod(x, q))
+                << "x=" << x << " q=" << q;
+        for (int it = 0; it < 2000; ++it) {
+            // Full-range words, and centered lifts |x| < 2^31.
+            const int64_t wide = static_cast<int64_t>(rng.next());
+            ASSERT_EQ(br.reduceSigned(wide), refSignedMod(wide, q))
+                << "x=" << wide << " q=" << q;
+            const int64_t lift =
+                static_cast<int64_t>(rng.uniform(uint64_t(1) << 32)) -
+                (int64_t(1) << 31);
+            ASSERT_EQ(br.reduceSigned(lift), refSignedMod(lift, q))
+                << "x=" << lift << " q=" << q;
+        }
+    }
+}
+
 TEST(Primes, MillerRabinKnownValues)
 {
     EXPECT_TRUE(isPrime(2));

@@ -334,6 +334,117 @@ TEST_F(NttLazyStrict, RejectsModulusWithoutLazyHeadroom)
     EXPECT_THROW(NttTables(128, q31), FatalError);
 }
 
+/**
+ * The AVX2 butterflies (forward/inverse on an AVX2 host) against the
+ * scalar lazy path and the strict reference. Skipped, with a message,
+ * on a host without AVX2: there forward/inverse are the scalar path.
+ */
+class NttSimd : public ::testing::Test
+{
+  protected:
+    void
+    SetUp() override
+    {
+        if (!NttTables::simdEnabled())
+            GTEST_SKIP() << "host has no AVX2; forward/inverse run the "
+                            "scalar lazy path covered by NttLazyStrict";
+    }
+
+    /** All-zero, all-(q-1) and two random inputs of length len. */
+    static std::vector<std::vector<uint32_t>>
+    inputs(uint32_t len, uint32_t q, Rng &rng)
+    {
+        return {std::vector<uint32_t>(len, 0),
+                std::vector<uint32_t>(len, q - 1), randomPoly(len, q, rng),
+                randomPoly(len, q, rng)};
+    }
+
+    /** The cyclic lengths FourStepNtt runs for lane counts 64, 128. */
+    static std::vector<uint32_t>
+    fourStepLengths(uint32_t n)
+    {
+        std::vector<uint32_t> lens;
+        for (uint32_t lanes : {64u, 128u}) {
+            if (n > lanes * lanes)
+                continue;
+            if (n <= lanes) {
+                lens.push_back(n);
+            } else {
+                lens.push_back(lanes);
+                lens.push_back(n / lanes);
+            }
+        }
+        return lens;
+    }
+
+    static void
+    expectAllPathsAgree(const NttTables &t, Rng &rng)
+    {
+        const uint32_t n = t.n();
+        const uint32_t q = t.q();
+        for (const auto &in : inputs(n, q, rng)) {
+            auto simd = in, lazy = in, strict = in;
+            t.forward(simd);
+            t.forwardScalar(lazy);
+            t.forwardStrict(strict);
+            EXPECT_EQ(simd, lazy) << "forward, n=" << n << " q=" << q;
+            EXPECT_EQ(lazy, strict) << "forward, n=" << n << " q=" << q;
+            simd = lazy = strict = in;
+            t.inverse(simd);
+            t.inverseScalar(lazy);
+            t.inverseStrict(strict);
+            EXPECT_EQ(simd, lazy) << "inverse, n=" << n << " q=" << q;
+            EXPECT_EQ(lazy, strict) << "inverse, n=" << n << " q=" << q;
+        }
+        for (uint32_t len : fourStepLengths(n)) {
+            for (const auto &in : inputs(len, q, rng)) {
+                auto simd = in, lazy = in, strict = in;
+                t.cyclicForward(simd);
+                t.cyclicForwardScalar(lazy);
+                t.cyclicForwardStrict(strict);
+                EXPECT_EQ(simd, lazy) << "cyclicForward, len=" << len;
+                EXPECT_EQ(lazy, strict) << "cyclicForward, len=" << len;
+                simd = lazy = strict = in;
+                t.cyclicInverse(simd);
+                t.cyclicInverseScalar(lazy);
+                t.cyclicInverseStrict(strict);
+                EXPECT_EQ(simd, lazy) << "cyclicInverse, len=" << len;
+                EXPECT_EQ(lazy, strict) << "cyclicInverse, len=" << len;
+            }
+        }
+    }
+};
+
+TEST_F(NttSimd, AgreesOnEveryChainAndAuxPrime)
+{
+    FheParams p;
+    p.n = 1024;
+    p.maxLevel = 4;
+    p.auxCount = 3;
+    p.primeBits = 28;
+    p.plainModulus = 65537;
+    FheContext ctx(p);
+    const PolyContext *pc = ctx.polyContext();
+    Rng rng(3030);
+    for (size_t i = 0; i < pc->chainLength(); ++i) {
+        SCOPED_TRACE("modulus index " + std::to_string(i));
+        expectAllPathsAgree(pc->tables(i), rng);
+    }
+}
+
+TEST_F(NttSimd, AgreesAtHeadroomBoundPrimeForEverySize)
+{
+    // n = 8 has no stage with half >= 8 and falls back to scalar;
+    // n = 16 is the smallest transform with one AVX2 stage.
+    for (uint32_t n = 8; n <= 65536; n <<= 1) {
+        const uint32_t q = generateNttPrimes(1, 30, n)[0];
+        ASSERT_GT(q, 1u << 29);
+        NttTables t(n, q);
+        Rng rng(n + 7);
+        expectAllPathsAgree(t, rng);
+    }
+}
+
 TEST(Ntt, RejectsNonNttFriendlyModulus)
 {
     // 786433 = 3*2^18+1 supports N up to 2^17 but 65537 only N <= 2^15.

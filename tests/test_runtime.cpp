@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <set>
 #include <thread>
 
@@ -1043,7 +1044,11 @@ TEST(ServingEngineTest, SubmitWhileDestructingIsRejected)
 
     std::thread destroyer([&] { delete engine; });
     // Poll submit until the destructor flips accepting_; everything
-    // accepted in the window must still resolve before teardown.
+    // accepted in the window must still resolve before teardown. The
+    // pause after each accepted submit leaves the destroyer the CPU
+    // and the engine lock: a tight loop under CPU contention piles up
+    // a thousand heavy jobs before admission closes, and the drain
+    // then takes tens of seconds.
     std::vector<std::future<JobResult>> accepted;
     bool rejected = false;
     while (!rejected) {
@@ -1052,6 +1057,7 @@ TEST(ServingEngineTest, SubmitWhileDestructingIsRejected)
         req.inputs.seed = 100 + accepted.size();
         try {
             accepted.push_back(engine->submit(std::move(req)));
+            std::this_thread::sleep_for(std::chrono::microseconds(100));
         } catch (const FatalError &) {
             rejected = true;
         }
